@@ -22,12 +22,13 @@ gates three claims:
     on single-core runners too.
 
 Executor wall-clock times are also reported.  ``--min-process-speedup`` gates
-the *shared-memory* process-pool fan-out (``share_memory()`` + attach-by-name
-workers) against the serial sharded path; now that workers attach to a
-published segment instead of unpickling every shard, the floor defaults to
-1.0x.  The gate is auto-skipped (and recorded as such) on single-core
-machines, where a process pool cannot win by construction.  The plain
-(copy-per-task) process timing is still reported for comparison.
+the process-pool fan-out over a *frozen* shard set (``write_shard_set(...,
+frozen=True)`` + ``load_shard_set``: each task pickles its shard as the
+identity of the shard's file generation, and workers reopen the mapping
+instead of unpickling every shard) against the serial sharded path, with a
+1.0x floor by default.  The gate is auto-skipped (and recorded as such) on
+single-core machines, where a process pool cannot win by construction.  The
+plain (copy-per-task) process timing is still reported for comparison.
 
 Run from the repository root::
 
@@ -40,13 +41,14 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.service import MatchingService
-from repro.shard import ShardedMatchingService
+from repro.shard import ShardedMatchingService, load_shard_set, write_shard_set
 from repro.utils.executor import ProcessPoolTaskExecutor, ThreadPoolTaskExecutor
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 from repro.workload.personal import (
@@ -92,16 +94,9 @@ def main(argv=None) -> int:
         "--min-process-speedup",
         type=float,
         default=1.0,
-        help="fail when the shared-memory process-pool fan-out is not this many times "
-        "faster than the serial sharded path (0 disables; auto-skipped on single-core "
-        "machines)",
-    )
-    parser.add_argument(
-        "--tasks-per-worker",
-        type=int,
-        default=1,
-        dest="tasks_per_worker",
-        help="chunking knob forwarded to ProcessPoolTaskExecutor",
+        help="fail when the process-pool fan-out over a frozen shard set is not this many "
+        "times faster than the serial sharded path (0 disables; auto-skipped on "
+        "single-core machines)",
     )
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT, help="JSON output path")
     args = parser.parse_args(argv)
@@ -137,17 +132,20 @@ def main(argv=None) -> int:
             )
 
     # -- identity + wall clock per executor (the headline shard count) --------
-    def timed_run(executor, share_memory=False):
+    def timed_run(executor, frozen_dir=None):
         service = ShardedMatchingService.from_repository(
             repository,
             args.shards,
             element_threshold=args.threshold,
             query_cache_size=0,
-            executor=executor,
+            executor=None if frozen_dir else executor,
         )
         service.build_derived_state()
-        if share_memory:
-            service.share_memory()
+        if frozen_dir:
+            write_shard_set(service, frozen_dir, frozen=True)
+            service = load_shard_set(
+                Path(frozen_dir) / "manifest.json", executor=executor, query_cache_size=0
+            )
         if executor is not None:
             service.match(schemas[0], top_k=args.top_k)  # warm the worker pool
         started = time.perf_counter()
@@ -158,27 +156,28 @@ def main(argv=None) -> int:
             executor_info = {
                 "workers": executor.last_workers_used,
                 "chunk_sizes": list(executor.last_chunk_sizes),
-                "tasks_per_worker": executor.tasks_per_worker,
             }
-        service.close()  # unpublishes the shared segments, if any
+        service.close()
         if executor is not None:
             executor.close()
         return elapsed, ranking_keys(results) == ranking_keys(reference_topk), executor_info
 
     serial_seconds, serial_identical, _ = timed_run(None)
     thread_seconds, thread_identical, _ = timed_run(ThreadPoolTaskExecutor(args.shards))
-    process_seconds, process_identical, _ = timed_run(
-        ProcessPoolTaskExecutor(args.shards, tasks_per_worker=args.tasks_per_worker)
-    )
-    shm_seconds, shm_identical, shm_executor = timed_run(
-        ProcessPoolTaskExecutor(args.shards, tasks_per_worker=args.tasks_per_worker),
-        share_memory=True,
-    )
+    process_seconds, process_identical, _ = timed_run(ProcessPoolTaskExecutor(args.shards))
+    with tempfile.TemporaryDirectory(prefix="bench-shard-query-") as frozen_dir:
+        frozen_seconds, frozen_identical, frozen_executor = timed_run(
+            ProcessPoolTaskExecutor(args.shards), frozen_dir=frozen_dir
+        )
     identical = (
-        identical and serial_identical and thread_identical and process_identical and shm_identical
+        identical
+        and serial_identical
+        and thread_identical
+        and process_identical
+        and frozen_identical
     )
     process_speedup = serial_seconds / process_seconds if process_seconds > 0 else float("inf")
-    shm_speedup = serial_seconds / shm_seconds if shm_seconds > 0 else float("inf")
+    frozen_speedup = serial_seconds / frozen_seconds if frozen_seconds > 0 else float("inf")
 
     # -- batched front-end vs query-by-query replay ---------------------------
     batch = [schema for schema in schemas for _ in range(args.batch_repeat)]
@@ -205,7 +204,7 @@ def main(argv=None) -> int:
     elif single_core:
         process_gate = "skipped (single-core machine)"
     else:
-        process_gate = round(shm_speedup, 3)
+        process_gate = round(frozen_speedup, 3)
 
     report = {
         "benchmark": "shard_query",
@@ -220,11 +219,10 @@ def main(argv=None) -> int:
         "serial_batch_seconds": round(serial_seconds, 6),
         "thread_batch_seconds": round(thread_seconds, 6),
         "process_batch_seconds": round(process_seconds, 6),
-        "shm_batch_seconds": round(shm_seconds, 6),
+        "frozen_batch_seconds": round(frozen_seconds, 6),
         "process_speedup": round(process_speedup, 3),
-        "shm_process_speedup": round(shm_speedup, 3),
-        "process_executor": shm_executor,
-        "shared_memory": True,
+        "frozen_process_speedup": round(frozen_speedup, 3),
+        "process_executor": frozen_executor,
         "batch_workload": {
             "queries": len(batch),
             "distinct": len(schemas),
@@ -254,9 +252,9 @@ def main(argv=None) -> int:
         return 1
     if args.min_process_speedup > 0 and single_core:
         print("process-speedup gate skipped (single-core machine)")
-    elif args.min_process_speedup > 0 and shm_speedup < args.min_process_speedup:
+    elif args.min_process_speedup > 0 and frozen_speedup < args.min_process_speedup:
         print(
-            f"FAIL: shared-memory process fan-out speedup {shm_speedup:.2f}x below "
+            f"FAIL: frozen process fan-out speedup {frozen_speedup:.2f}x below "
             f"required {args.min_process_speedup}x",
             file=sys.stderr,
         )

@@ -1,11 +1,11 @@
 """RPA003 — the process-pool pickle boundary stays audited.
 
 :class:`~repro.utils.executor.ProcessPoolTaskExecutor` ships callables and
-task payloads to worker processes by pickling.  PR 7's shared-memory redirects
-exist precisely because "it pickled, therefore it worked" is false: a class
-that crosses the boundary with default pickling can silently drag megabytes of
-repository state (or unpicklable locks/pools) into every worker.  The audit
-has two mechanical halves:
+task payloads to worker processes by pickling.  The frozen views reduce to a
+generation reopen precisely because "it pickled, therefore it worked" is
+false: a class that crosses the boundary with default pickling can silently
+drag megabytes of repository state (or unpicklable locks/pools) into every
+worker.  The audit has two mechanical halves:
 
 * every class that customizes pickling (``__reduce__``/``__getstate__``/…)
   must appear in :data:`PICKLE_BOUNDARY_ALLOWLIST` with a recorded reason —
@@ -49,13 +49,9 @@ PICKLE_BOUNDARY_ALLOWLIST: Dict[str, Dict[str, object]] = {
         "hooks": True,
         "why": "strips the lock; workers get a per-process incumbent copy (prune-only, exact)",
     },
-    "repro.service.service.MatchingService": {
-        "hooks": True,
-        "why": "redirects to the published shared-memory segment while live+version-matched (PR 7)",
-    },
     "repro.labeling.distance.RepositoryDistanceOracle": {
         "hooks": True,
-        "why": "redirects to the shared-memory segment / re-keys packed rows on attach (PR 7)",
+        "why": "strips the build lock and built per-tree rows; workers rebuild only the trees they touch",
     },
     "repro.matchers.index.LRUMemo": {
         "hooks": True,
@@ -79,19 +75,19 @@ PICKLE_BOUNDARY_ALLOWLIST: Dict[str, Dict[str, object]] = {
     },
     "repro.storage.frozen.FrozenRepository": {
         "hooks": True,
-        "why": "mmap views cannot pickle; reduces to a snapshot-path reopen shared per worker process",
+        "why": "mmap views cannot pickle; reduces to a reopen of the opened file generation, shared per worker process",
     },
     "repro.storage.frozen.FrozenNameIndex": {
         "hooks": True,
-        "why": "immutable mmap-backed index; reduces to (path, position) so workers attach, never copy",
+        "why": "immutable mmap-backed index; reduces to (generation, position) so workers attach, never copy",
     },
     "repro.storage.frozen.FrozenRepositoryDistanceOracle": {
         "hooks": True,
-        "why": "shm redirect wins, else snapshot-path reopen while pristine, else copy sans mmap views",
+        "why": "reopens the opened file generation while pristine, else copies sans mmap views",
     },
     "repro.storage.frozen.FrozenPartition": {
         "hooks": True,
-        "why": "reduces to (path, reclustering) while segment-backed; materializes before plain pickling",
+        "why": "reduces to (generation, reclustering) while segment-backed; materializes before plain pickling",
     },
 }
 

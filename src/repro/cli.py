@@ -372,8 +372,7 @@ def _load_service_argument(args: argparse.Namespace):
 def _close_service(service) -> None:
     """Release what a CLI-owned service holds on the way out.
 
-    The sharded ``close()`` stops fan-out pools and unpublishes shared-memory
-    segments; the task executor the CLI created in :func:`_make_executor` is
+    The sharded ``close()`` stops fan-out pools; the task executor the CLI created in :func:`_make_executor` is
     shut down explicitly — a process pool left to interpreter teardown races
     concurrent.futures' atexit hook into spurious fd errors on stderr.
     """

@@ -60,8 +60,8 @@ class TreeDistanceOracle:
     def from_payload(cls, tree: SchemaTree, payload: Dict[str, object]) -> "TreeDistanceOracle":
         """Rebuild an oracle from :meth:`to_payload` output for the same tree.
 
-        The payload sequences are adopted as-is: snapshot and shared-memory
-        loaders hand over live ``array('i')`` buffers, and rehydrating them
+        The payload sequences are adopted as-is: the JSON snapshot loader hands
+        over live ``array('i')`` buffers and the frozen loader mapped slices, and rehydrating them
         into per-integer Python objects would dominate load time and memory.
         Oracles built this way are complete, so the build paths that append to
         the tour never run against an adopted buffer.
@@ -182,23 +182,6 @@ class RepositoryDistanceOracle:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._build_lock = threading.Lock()
-
-    def __reduce_ex__(self, protocol):
-        # While the owning service has a live shared-memory view of this
-        # repository, ship only the segment name: the worker attaches to the
-        # published tables instead of unpickling the repository.  The check is
-        # version-gated, so an oracle over a since-mutated repository falls
-        # back to the plain copy path (repro.service.sharedmem).
-        view = getattr(self.repository, "_shared_view", None)
-        if (
-            view is not None
-            and not view.stale
-            and view.repository_version == getattr(self.repository, "version", None)
-        ):
-            from repro.service.sharedmem import _attach_repository_oracle
-
-            return (_attach_repository_oracle, (view.name,))
-        return super().__reduce_ex__(protocol)
 
     def oracle(self, tree_id: int) -> TreeDistanceOracle:
         """The (cached) oracle for one repository tree (thread-safe build)."""

@@ -103,10 +103,6 @@ class SchemaRepository:
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_name_index_cache"] = {}
-        # A shared-memory view wraps an OS segment handle; workers reach the
-        # published tables through the oracle/service pickle redirects, never
-        # through a copied view object.
-        state.pop("_shared_view", None)
         return state
 
     def add_tree(self, tree: SchemaTree) -> int:

@@ -164,10 +164,6 @@ class MatchingService(MatcherAPIMixin):
             use_batch_matching=use_batch_matching,
             executor=executor,
         )
-        # Live shared-memory publication of this service's repository and
-        # derived state, if share_memory() has been called (see
-        # repro.service.sharedmem).
-        self._shared_view = None
 
     # -- accessors ----------------------------------------------------------
 
@@ -221,74 +217,6 @@ class MatchingService(MatcherAPIMixin):
         self.oracle.build_all()
         if self.partition is not None:
             self.partition.build_all(self.repository, self.oracle)
-
-    # -- shared memory --------------------------------------------------------
-
-    @property
-    def shared_view(self):
-        """The live shared-memory view, or ``None`` (see :meth:`share_memory`)."""
-        view = self._shared_view
-        if view is not None and not view.stale:
-            return view
-        return None
-
-    def share_memory(self):
-        """Publish the repository and derived state into shared memory.
-
-        While the returned view is live (and the repository unmutated),
-        pickling this service — or the distance oracle inside any of its
-        mapping problems — ships only the segment name: process-pool workers
-        attach to the published tables instead of unpickling a copy.
-        Idempotent; republishes after a mutation.  Raises
-        :class:`~repro.errors.ConfigurationError` for custom matcher /
-        clusterer / objective / generator objects, whose behaviour a worker
-        could not reconstruct from a descriptor.
-        """
-        from repro.service.sharedmem import SharedMemoryRepositoryView
-
-        view = self._shared_view
-        if (
-            view is not None
-            and not view.stale
-            and view.repository_version == self.repository.version
-        ):
-            return view
-        self.unshare_memory()
-        view = SharedMemoryRepositoryView.publish(self)
-        self._shared_view = view
-        self.repository._shared_view = view
-        return view
-
-    def unshare_memory(self) -> None:
-        """Unpublish and unlink the shared segment (idempotent)."""
-        view = self._shared_view
-        if view is None:
-            return
-        self._shared_view = None
-        if getattr(self.repository, "_shared_view", None) is view:
-            self.repository._shared_view = None
-        view.close()
-
-    # -- pickling (process executors) -----------------------------------------
-
-    def __getstate__(self) -> dict:
-        # Only reached when the shared-memory redirect below does not apply;
-        # the view wraps an OS segment handle and never travels by copy.
-        state = self.__dict__.copy()
-        state["_shared_view"] = None
-        return state
-
-    def __reduce_ex__(self, protocol):
-        view = self._shared_view
-        if (
-            view is not None
-            and not view.stale
-            and view.repository_version == self.repository.version
-        ):
-            from repro.service.sharedmem import _attach_shared_service
-
-            return (_attach_shared_service, (view.name,))
-        return super().__reduce_ex__(protocol)
 
     # -- queries -------------------------------------------------------------
 
@@ -443,7 +371,6 @@ class MatchingService(MatcherAPIMixin):
         append-only, and every maintained structure is per-tree or
         append-compatible.
         """
-        self.unshare_memory()
         repository = self.repository
         indexes = repository.cached_name_indexes()
         tree_id = repository.add_tree(tree)
@@ -467,7 +394,6 @@ class MatchingService(MatcherAPIMixin):
         """
         if self.repository.tree_count <= 1:
             raise ConfigurationError("cannot remove the last tree of a served repository")
-        self.unshare_memory()
         repository = self.repository
         indexes = repository.cached_name_indexes()
         removed_node_count = repository.tree(tree_id).node_count
@@ -501,7 +427,6 @@ class MatchingService(MatcherAPIMixin):
         executor = self._system.executor
         summary["executor"] = "serial" if executor is None else executor.name
         summary["built_oracles"] = self.oracle.built_oracle_count
-        summary["shared_memory"] = self.shared_view is not None
         summary["query_cache_capacity"] = self.query_cache_size
         summary["query_cache_entries"] = len(self._query_cache)
         if self.partition is not None:

@@ -28,13 +28,6 @@ remains a single self-describing JSON file.  On load the buffers are kept as
 (oracle tours, sparse-table rows): no per-integer Python object is ever
 materialized for them.
 
-The packing is injectable: :func:`service_to_snapshot_dict` and
-:func:`snapshot_to_service` accept ``pack``/``unpack`` callables so the same
-document structure can be serialized against a different carrier — the
-shared-memory view (:mod:`repro.service.sharedmem`) stores the int32 regions
-as raw offsets into one shared segment and keeps only the JSON-sized header
-per worker.
-
 Version policy
 --------------
 
@@ -84,9 +77,9 @@ SNAPSHOT_VERSION = 1
 def _pack_ints(values) -> str:
     """Encode an int sequence as base64 little-endian int32 (see module docs).
 
-    The byte layout is the storage subsystem's shared carrier
+    The byte layout is the storage subsystem's int32 codec
     (:func:`repro.storage.format.pack_int32`) — identical to a frozen-snapshot
-    segment and the shared-memory region, base64-armored for JSON.
+    segment, base64-armored for JSON.
     """
     from repro.storage.format import pack_int32
 
@@ -100,7 +93,7 @@ def _unpack_ints(text: str) -> array:
     return unpack_int32(base64.b64decode(text))
 
 
-def _pack_oracle(payload: Dict[str, Any], pack=_pack_ints) -> Dict[str, Any]:
+def _pack_oracle(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Pack a :meth:`TreeDistanceOracle.to_payload` dict for the snapshot.
 
     Sparse-table level 0 is always ``range(size)`` and every deeper level's
@@ -108,22 +101,22 @@ def _pack_oracle(payload: Dict[str, Any], pack=_pack_ints) -> Dict[str, Any]:
     one flat buffer and re-sliced on load.
     """
     return {
-        "euler_nodes": pack(payload["euler_nodes"]),
-        "euler_depths": pack(payload["euler_depths"]),
-        "first_occurrence": pack(payload["first_occurrence"]),
-        "rmq": pack(
+        "euler_nodes": _pack_ints(payload["euler_nodes"]),
+        "euler_depths": _pack_ints(payload["euler_depths"]),
+        "first_occurrence": _pack_ints(payload["first_occurrence"]),
+        "rmq": _pack_ints(
             [index for level in payload["rmq_levels"][1:] for index in level]
         ),
     }
 
 
-def _unpack_oracle(packed: Dict[str, Any], unpack=_unpack_ints) -> Dict[str, Any]:
-    euler_depths = unpack(packed["euler_depths"])
+def _unpack_oracle(packed: Dict[str, Any]) -> Dict[str, Any]:
+    euler_depths = _unpack_ints(packed["euler_depths"])
     size = len(euler_depths)
     # Level 0 of the sparse table is the identity; ``range`` is a live O(1)
     # sequence, so no length-``size`` list is ever built for it.
     levels: List[Any] = [range(size)]
-    flat = unpack(packed["rmq"])
+    flat = _unpack_ints(packed["rmq"])
     position = 0
     level = 1
     while (1 << level) <= size:
@@ -132,22 +125,22 @@ def _unpack_oracle(packed: Dict[str, Any], unpack=_unpack_ints) -> Dict[str, Any
         position += width
         level += 1
     return {
-        "euler_nodes": unpack(packed["euler_nodes"]),
+        "euler_nodes": _unpack_ints(packed["euler_nodes"]),
         "euler_depths": euler_depths,
-        "first_occurrence": unpack(packed["first_occurrence"]),
+        "first_occurrence": _unpack_ints(packed["first_occurrence"]),
         "rmq_levels": levels,
     }
 
 
-def _pack_partition(payload: Dict[str, Any], pack=_pack_ints) -> Dict[str, Any]:
+def _pack_partition(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Pack a :meth:`RepositoryPartition.to_payload` dict (flat members + sizes)."""
     return {
         "max_fragment_size": payload["max_fragment_size"],
         "reclustering": payload["reclustering"],
         "fragments": {
             tree_key: {
-                "sizes": pack([len(members) for members in fragments]),
-                "members": pack(
+                "sizes": _pack_ints([len(members) for members in fragments]),
+                "members": _pack_ints(
                     [node_id for members in fragments for node_id in members]
                 ),
             }
@@ -156,11 +149,11 @@ def _pack_partition(payload: Dict[str, Any], pack=_pack_ints) -> Dict[str, Any]:
     }
 
 
-def _unpack_partition(packed: Dict[str, Any], unpack=_unpack_ints) -> Dict[str, Any]:
+def _unpack_partition(packed: Dict[str, Any]) -> Dict[str, Any]:
     fragments: Dict[str, List[Any]] = {}
     for tree_key, entry in packed.get("fragments", {}).items():
-        sizes = unpack(entry["sizes"])
-        flat = unpack(entry["members"])
+        sizes = _unpack_ints(entry["sizes"])
+        flat = _unpack_ints(entry["members"])
         members: List[Any] = []
         position = 0
         for size in sizes:
@@ -215,16 +208,12 @@ def _matcher_from_config(config: Optional[Dict[str, Any]]) -> ElementMatcher:
     raise ReproError(f"snapshot names an unknown matcher type {kind!r}")
 
 
-def service_to_snapshot_dict(
-    service: MatchingService, build: bool = True, pack=_pack_ints
-) -> Dict[str, Any]:
+def service_to_snapshot_dict(service: MatchingService, build: bool = True) -> Dict[str, Any]:
     """Serialize a service into the snapshot document.
 
     With ``build`` (the default) all derived state is materialized first, so
     the snapshot is *complete* — a loader never rebuilds anything.  Without
     it, only state that happens to be built is persisted (useful for tests).
-    ``pack`` converts each flat int sequence into its wire form (base64 text
-    by default; the shared-memory view substitutes buffer descriptors).
     """
     if build:
         service.build_derived_state()
@@ -235,24 +224,24 @@ def service_to_snapshot_dict(
         entry: Dict[str, Any] = {
             "case_sensitive": index.case_sensitive,
             "keys": list(index.keys),
-            "node_name_ids": pack(index.node_name_ids()),
+            "node_name_ids": _pack_ints(index.node_name_ids()),
             "blocking": None,
         }
         if blocking is not None:
             postings = blocking["postings"]
             grams = sorted(postings)
             entry["blocking"] = {
-                "gram_counts": pack(blocking["gram_counts"]),
+                "gram_counts": _pack_ints(blocking["gram_counts"]),
                 "grams": grams,
-                "posting_sizes": pack([len(postings[gram]) for gram in grams]),
-                "posting_values": pack(
+                "posting_sizes": _pack_ints([len(postings[gram]) for gram in grams]),
+                "posting_values": _pack_ints(
                     [name_id for gram in grams for name_id in postings[gram]]
                 ),
             }
         name_indexes.append(entry)
     oracle = service.oracle
     oracles = {
-        str(tree_id): _pack_oracle(oracle.oracle(tree_id).to_payload(), pack)
+        str(tree_id): _pack_oracle(oracle.oracle(tree_id).to_payload())
         for tree_id in oracle.built_tree_ids()
     }
     return {
@@ -272,7 +261,7 @@ def service_to_snapshot_dict(
         "partition": (
             None
             if service.partition is None
-            else _pack_partition(service.partition.to_payload(), pack)
+            else _pack_partition(service.partition.to_payload())
         ),
     }
 
@@ -299,14 +288,12 @@ def snapshot_to_service(
     executor: Optional[TaskExecutor] = None,
     partition_reclustering: Optional[ReclusteringStrategy] = None,
     query_cache_size: Optional[int] = None,
-    unpack=_unpack_ints,
 ) -> MatchingService:
     """Reconstruct a :class:`MatchingService` from a snapshot document.
 
     Keyword overrides replace the corresponding snapshot configuration; they
     are *required* where the snapshot records that a non-serializable object
     was in play (custom matcher or clusterer, partition reclustering).
-    ``unpack`` must invert the ``pack`` the document was written with.
     """
     if payload.get("format") != SNAPSHOT_FORMAT:
         raise ReproError(f"not a service snapshot (format={payload.get('format')!r})")
@@ -331,7 +318,7 @@ def snapshot_to_service(
             # on the loaded service keep maintaining the loaded fragments.
             kwargs["clusterer"] = PartitionClusterer(
                 RepositoryPartition.from_payload(
-                    _unpack_partition(partition_payload, unpack),
+                    _unpack_partition(partition_payload),
                     reclustering=partition_reclustering,
                 )
             )
@@ -363,25 +350,25 @@ def snapshot_to_service(
             repository,
             case_sensitive=bool(entry["case_sensitive"]),
             keys=list(entry["keys"]),
-            node_name_ids=unpack(entry["node_name_ids"]),
+            node_name_ids=_unpack_ints(entry["node_name_ids"]),
         )
         blocking = entry.get("blocking")
         if blocking is not None:
-            sizes = unpack(blocking["posting_sizes"])
-            flat = unpack(blocking["posting_values"])
+            sizes = _unpack_ints(blocking["posting_sizes"])
+            flat = _unpack_ints(blocking["posting_values"])
             postings: Dict[str, List[int]] = {}
             position = 0
             for gram, size in zip(blocking["grams"], sizes):
                 postings[gram] = flat[position : position + size]
                 position += size
-            index.install_blocking(unpack(blocking["gram_counts"]), postings)
+            index.install_blocking(_unpack_ints(blocking["gram_counts"]), postings)
         repository.install_name_index(index)
     for tree_key, oracle_payload in payload.get("oracles", {}).items():
         tree_id = int(tree_key)
         service.oracle.install(
             tree_id,
             TreeDistanceOracle.from_payload(
-                repository.tree(tree_id), _unpack_oracle(oracle_payload, unpack)
+                repository.tree(tree_id), _unpack_oracle(oracle_payload)
             ),
         )
     return service

@@ -496,27 +496,8 @@ class ShardedMatchingService(MatcherAPIMixin):
 
     def close(self) -> None:
         """Release the resilient fan-out's thread pools (if any were started)."""
-        self.unshare_memory()
         if self._fanout is not None:
             self._fanout.close()
-
-    # -- shared memory --------------------------------------------------------
-
-    def share_memory(self) -> List[object]:
-        """Publish every shard into shared memory (see :mod:`repro.service.sharedmem`).
-
-        With a process executor, each fan-out task then ships a segment name
-        instead of a pickled shard service; workers attach once per shard and
-        reuse the mapping across queries.  Returns the per-shard views.
-        Mutations unpublish the affected shard automatically; call again to
-        republish after a batch of updates.
-        """
-        return [shard.share_memory() for shard in self.shards]
-
-    def unshare_memory(self) -> None:
-        """Unpublish every shard's shared segment (idempotent)."""
-        for shard in self.shards:
-            shard.unshare_memory()
 
     def _loads(self) -> List[int]:
         """Current per-shard loads in the router's weight unit (lazily built)."""

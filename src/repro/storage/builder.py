@@ -517,7 +517,7 @@ def freeze_snapshot_file(source: str | Path, destination: str | Path) -> Dict[st
         writer.add_tree(
             tree,
             oracle_payload=(
-                None if packed_oracle is None else _unpack_oracle(packed_oracle, _unpack_ints)
+                None if packed_oracle is None else _unpack_oracle(packed_oracle)
             ),
             fragments=fragments,
         )

@@ -1,7 +1,7 @@
 """The frozen snapshot container: segmented, versioned, loaded by ``mmap``.
 
-A frozen snapshot is the third carrier of the service-snapshot document
-family (after base64-JSON files and shared-memory segments): the same logical
+A frozen snapshot is the binary carrier of the service-snapshot document
+family (next to base64-JSON files): the same logical
 content — forest structure, name tables, Euler tours, sparse-table rows,
 posting lists — stored as fixed-width little-endian arrays that a reader maps
 into its address space instead of parsing.  Opening one is O(header), not
@@ -43,19 +43,28 @@ would silently corrupt match results).  Adding optional header keys or new
 segments is allowed within a version; changing the meaning or layout of an
 existing segment requires a bump.
 
-Shared packing carrier
-----------------------
+Shared int32 codec
+------------------
 :func:`pack_int32` / :func:`unpack_int32` are the one int32 byte codec for
-every binary carrier: the shared-memory view (:mod:`repro.service.sharedmem`)
-packs its data region with them, and the frozen writer packs segments with
-them, so the little-endian-on-disk/by-swap-on-big-endian rule lives in
-exactly one place.
+both carriers: the frozen writer packs segments with them and the JSON
+snapshot base64-armors their bytes, so the
+little-endian-on-disk/by-swap-on-big-endian rule lives in exactly one place.
+
+Generations
+-----------
+Every freeze publishes a new file by atomic rename, so one path names a
+sequence of generations.  A :class:`FrozenSnapshot` records the generation it
+mapped as its :attr:`~FrozenSnapshot.identity` — ``(resolved path, size,
+mtime_ns, inode)`` — and :func:`reopen_frozen` hands a worker process that
+generation or refuses: a task built against one generation must never be
+answered from another.
 """
 
 from __future__ import annotations
 
 import json
 import mmap
+import os
 import struct
 import sys
 import threading
@@ -78,6 +87,9 @@ _PREAMBLE = struct.Struct("<8sII")
 
 _ALIGNMENT = 8
 
+#: A frozen file generation: ``(resolved path, size, mtime_ns, inode)``.
+Identity = Tuple[str, int, int, int]
+
 _SEGMENT_KINDS = {"int32": 4, "int8": 1, "bytes": 1}
 
 
@@ -89,7 +101,7 @@ def _align(offset: int) -> int:
 
 
 def pack_int32(values) -> bytes:
-    """Little-endian int32 bytes of a flat int sequence (disk and shm carrier)."""
+    """Little-endian int32 bytes of a flat int sequence (frozen segments, JSON packing)."""
     buffer = array("i", values)
     if sys.byteorder == "big":  # pragma: no cover - x86/arm are little-endian
         buffer.byteswap()
@@ -216,6 +228,10 @@ class FrozenSnapshot:
     pair for the pickle-reopen fast path (see :mod:`repro.storage.frozen`):
     every worker task that unpickles against the same snapshot reuses one
     attached object graph instead of re-opening per task.
+
+    ``identity`` is the ``(resolved path, size, mtime_ns, inode)`` of the file
+    that was mapped, taken from the open descriptor — the generation every
+    pickled view of this snapshot names.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -223,7 +239,8 @@ class FrozenSnapshot:
         self.source_path = str(target)
         try:
             with open(target, "rb") as stream:
-                size = target.stat().st_size
+                stat = os.fstat(stream.fileno())
+                size = stat.st_size
                 if size < _PREAMBLE.size:
                     raise ReproError(
                         f"{target} is not a frozen snapshot (file shorter than the preamble)"
@@ -231,6 +248,7 @@ class FrozenSnapshot:
                 mapping = mmap.mmap(stream.fileno(), 0, access=mmap.ACCESS_READ)
         except OSError as exc:
             raise ReproError(f"cannot open frozen snapshot {target}: {exc}") from exc
+        self.identity = _identity(target, stat)
         self._mapping = mapping
         self._view = memoryview(mapping)
         try:
@@ -378,30 +396,76 @@ class FrozenSnapshot:
         )
 
 
-#: Per-process open-snapshot cache: N pool workers unpickling tasks against the
-#: same frozen file attach to one mapping instead of re-opening per task.
-_OPEN_CACHE: Dict[Tuple[str, int, int], FrozenSnapshot] = {}
+def _identity(target: Path, stat: os.stat_result) -> Identity:
+    return (str(target.resolve()), stat.st_size, stat.st_mtime_ns, stat.st_ino)
+
+
+def _describe(identity: Identity) -> str:
+    _, size, mtime_ns, inode = identity
+    return f"size {size}, mtime_ns {mtime_ns}, inode {inode}"
+
+
+#: Per-process open-snapshot cache keyed by generation identity: N pool
+#: workers unpickling tasks against the same frozen file attach to one mapping
+#: instead of re-opening per task, and forked workers inherit the parent's.
+_OPEN_CACHE: Dict[Identity, FrozenSnapshot] = {}
 _OPEN_LOCK = threading.Lock()
 
 
 def open_frozen(path: str | Path, *, cached: bool = True) -> FrozenSnapshot:
     """Open (or reuse this process's mapping of) a frozen snapshot.
 
-    The cache key is ``(resolved path, size, mtime_ns)``, so replacing the
-    file — every freeze is an atomic rename — naturally misses the cache and
-    maps the new generation while old readers keep their old (still mapped)
-    pages.
+    The cache key is the file's generation identity ``(resolved path, size,
+    mtime_ns, inode)``, so replacing the file — every freeze is an atomic
+    rename — naturally misses the cache and maps the new generation while
+    old readers keep their old (still mapped) pages.
     """
     target = Path(path)
     if not cached:
         return FrozenSnapshot(target)
     try:
-        stat = target.stat()
+        key = _identity(target, target.stat())
     except OSError as exc:
         raise ReproError(f"cannot open frozen snapshot {target}: {exc}") from exc
-    key = (str(target.resolve()), stat.st_size, stat.st_mtime_ns)
     with _OPEN_LOCK:
         snapshot = _OPEN_CACHE.get(key)
         if snapshot is None:
-            snapshot = _OPEN_CACHE[key] = FrozenSnapshot(target)
+            # Keyed by what was actually mapped: a rename racing the stat
+            # above must not file the new generation under the old key.
+            snapshot = FrozenSnapshot(target)
+            snapshot = _OPEN_CACHE.setdefault(snapshot.identity, snapshot)
         return snapshot
+
+
+def reopen_frozen(identity: Identity) -> FrozenSnapshot:
+    """The mapping of exactly the generation ``identity`` names.
+
+    This is the worker side of a pickled frozen view.  A process that already
+    maps the generation — opened itself, or inherited from a forked parent —
+    reuses that mapping, even if the file has since been replaced or deleted.
+    Otherwise the file at the recorded path must still be that generation; a
+    deleted or replaced file raises :class:`~repro.errors.ReproError`,
+    because answering from another generation would silently rank a
+    different repository.
+    """
+    with _OPEN_LOCK:
+        snapshot = _OPEN_CACHE.get(identity)
+    if snapshot is not None:
+        return snapshot
+    path = Path(identity[0])
+    try:
+        current = _identity(path, path.stat())
+    except OSError as exc:
+        raise ReproError(
+            f"frozen snapshot {path} is no longer on disk; the generation this "
+            f"task was built against ({_describe(identity)}) cannot be reopened"
+        ) from exc
+    if current == identity:
+        snapshot = open_frozen(path)
+        if snapshot.identity == identity:
+            return snapshot
+        current = snapshot.identity
+    raise ReproError(
+        f"frozen snapshot {path} was replaced since this task's generation was "
+        f"opened (expected {_describe(identity)}; found {_describe(current)})"
+    )

@@ -32,12 +32,13 @@ Pickling (process executors)
 ----------------------------
 View objects wrap ``memoryview``\\ s, which cannot travel between processes.
 While pristine (repository version 0, no removals) every frozen class reduces
-to a module-level reopen function carrying only the snapshot path: workers
-attach to one per-process mapping (:func:`repro.storage.format.open_frozen`)
-and share one lazily built repository/oracle pair per snapshot
-(``FrozenSnapshot.runtime``), so a pool task payload is a few hundred bytes.
-After a mutation the thawed plain structures pickle by copy exactly as their
-JSON-loaded counterparts do.
+to a module-level reopen function carrying only the identity of the file
+generation it was loaded from: workers attach to one per-process mapping of
+exactly that generation (:func:`repro.storage.format.reopen_frozen`, which
+refuses a deleted or replaced file) and share one lazily built
+repository/oracle pair per snapshot (``FrozenSnapshot.runtime``), so a pool
+task payload is a few hundred bytes.  After a mutation the thawed plain
+structures pickle by copy exactly as their JSON-loaded counterparts do.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from repro.schema.repository import RepositoryNodeRef, SchemaRepository
 from repro.schema.serialization import _DATATYPE_BY_VALUE, _KIND_BY_VALUE
 from repro.schema.tree import SchemaTree
 from repro.service.partition import PartitionClusterer, RepositoryPartition
-from repro.storage.format import FrozenSnapshot, open_frozen
+from repro.storage.format import FrozenSnapshot, Identity, open_frozen, reopen_frozen
 
 
 class LazyStringTable:
@@ -339,7 +340,7 @@ class FrozenRepository(SchemaRepository):
     # and share one repository per process instead of copying the forest.
 
     def __reduce_ex__(self, protocol):
-        return (_reopen_frozen_repository, (self._snapshot.source_path,))
+        return (_reopen_frozen_repository, (self._snapshot.identity,))
 
 
 class FrozenNameIndex(RepositoryNameIndex):
@@ -528,7 +529,7 @@ class FrozenNameIndex(RepositoryNameIndex):
     # position) instead of copying the decoded tables.
 
     def __reduce_ex__(self, protocol):
-        return (_reopen_frozen_index, (self._snapshot.source_path, self._position))
+        return (_reopen_frozen_index, (self._snapshot.identity, self._position))
 
 
 class FrozenRepositoryDistanceOracle(RepositoryDistanceOracle):
@@ -604,19 +605,10 @@ class FrozenRepositoryDistanceOracle(RepositoryDistanceOracle):
         return state
 
     def __reduce_ex__(self, protocol):
-        # Precedence mirrors the base class: a live shared-memory publication
-        # wins (the base redirect handles it), then the frozen reopen while
-        # the repository is pristine, then the plain copy path (view attrs
-        # stripped by __getstate__ above).
-        view = getattr(self.repository, "_shared_view", None)
-        if (
-            view is not None
-            and not view.stale
-            and view.repository_version == getattr(self.repository, "version", None)
-        ):
-            return super().__reduce_ex__(protocol)
+        # The frozen reopen while the repository is pristine, else the plain
+        # copy path (view attrs stripped by __getstate__ above).
         if self._frozen_active and getattr(self.repository, "version", 0) == 0:
-            return (_reopen_frozen_oracle, (self._snapshot.source_path,))
+            return (_reopen_frozen_oracle, (self._snapshot.identity,))
         return super().__reduce_ex__(protocol)
 
 
@@ -696,14 +688,16 @@ class FrozenPartition(RepositoryPartition):
 
     def __reduce_ex__(self, protocol):
         if self._frozen_active:
-            return (_reopen_frozen_partition, (self._snapshot.source_path, self.reclustering))
+            return (_reopen_frozen_partition, (self._snapshot.identity, self.reclustering))
         return super().__reduce_ex__(protocol)
 
 
 # -- worker reopen fast path ---------------------------------------------------
 
 
-def _frozen_runtime(path: str) -> Tuple[FrozenRepository, FrozenRepositoryDistanceOracle]:
+def _frozen_runtime(
+    snapshot: FrozenSnapshot,
+) -> Tuple[FrozenRepository, FrozenRepositoryDistanceOracle]:
     """One lazily built (repository, oracle) pair per snapshot per process.
 
     Every unpickled task against the same frozen file shares one attached
@@ -712,7 +706,6 @@ def _frozen_runtime(path: str) -> Tuple[FrozenRepository, FrozenRepositoryDistan
     runtime whose repository has been thawed or mutated (possible only if user
     code mutates an unpickled service) is discarded and rebuilt pristine.
     """
-    snapshot = open_frozen(path)
     positions = range(len(snapshot.header.get("indexes", [])))
     # Resolve the index singletons *before* taking the runtime lock —
     # cached_index takes the same (non-reentrant) lock.
@@ -735,23 +728,23 @@ def _frozen_runtime(path: str) -> Tuple[FrozenRepository, FrozenRepositoryDistan
     return runtime
 
 
-def _reopen_frozen_repository(path: str) -> FrozenRepository:
-    return _frozen_runtime(path)[0]
+def _reopen_frozen_repository(identity: Identity) -> FrozenRepository:
+    return _frozen_runtime(reopen_frozen(identity))[0]
 
 
-def _reopen_frozen_oracle(path: str) -> FrozenRepositoryDistanceOracle:
-    return _frozen_runtime(path)[1]
+def _reopen_frozen_oracle(identity: Identity) -> FrozenRepositoryDistanceOracle:
+    return _frozen_runtime(reopen_frozen(identity))[1]
 
 
-def _reopen_frozen_index(path: str, position: int) -> FrozenNameIndex:
-    snapshot = open_frozen(path)
+def _reopen_frozen_index(identity: Identity, position: int) -> FrozenNameIndex:
+    snapshot = reopen_frozen(identity)
     return snapshot.cached_index(
         position, lambda: FrozenNameIndex(snapshot, position)
     )
 
 
-def _reopen_frozen_partition(path: str, reclustering) -> FrozenPartition:
-    return FrozenPartition(open_frozen(path), reclustering=reclustering)
+def _reopen_frozen_partition(identity: Identity, reclustering) -> FrozenPartition:
+    return FrozenPartition(reopen_frozen(identity), reclustering=reclustering)
 
 
 # -- service assembly ----------------------------------------------------------

@@ -23,12 +23,18 @@ chunks (one pickle per chunk, so payloads sharing large state — e.g. the
 per-cluster mapping problems of one query, which all reference the same
 repository — serialize that state once per worker, not once per task) and
 reassembles the results in input order, preserving the determinism contract.
+
+What a chunk pickle carries depends on the service: an in-memory repository
+travels by copy with every chunk, while the views of a frozen-loaded service
+reduce to the identity of the file they were opened from and workers reopen
+it (:mod:`repro.storage.frozen`).
 """
 
 from __future__ import annotations
 
 import abc
 import os
+import pickle
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, List, Optional, Sequence, TypeVar
 
@@ -141,8 +147,16 @@ class ThreadPoolTaskExecutor(TaskExecutor):
         return f"ThreadPoolTaskExecutor(max_workers={self.max_workers})"
 
 
-def _run_task_chunk(fn: Callable[[_ItemT], _ResultT], chunk: List[_ItemT]) -> List[_ResultT]:
-    """Worker-side body of :meth:`ProcessPoolTaskExecutor.map` (module-level: picklable)."""
+def _run_task_chunk(payload: bytes) -> List[object]:
+    """Worker-side body of :meth:`ProcessPoolTaskExecutor.map` (module-level: picklable).
+
+    ``payload`` is the parent's pickle of ``(fn, chunk)``.  Unpickling it here,
+    inside the task, rather than in the pool's own call-item handling, means
+    an error raised while rebuilding the payload (a frozen file that cannot
+    be reopened, say) fails this task's future with the original exception —
+    the pool itself stays healthy for the next query.
+    """
+    fn, chunk = pickle.loads(payload)
     return [fn(item) for item in chunk]
 
 
@@ -172,8 +186,8 @@ def split_into_chunks(items: Sequence[_ItemT], chunk_count: int) -> List[List[_I
 class ProcessPoolTaskExecutor(TaskExecutor):
     """Dispatch tasks to a :class:`concurrent.futures.ProcessPoolExecutor`.
 
-    Tasks are grouped into contiguous chunks (one chunk per worker by
-    default) and each chunk is submitted as a single unit; results are
+    Tasks are grouped into contiguous chunks (one chunk per worker) and each
+    chunk is pickled once and submitted as a single unit; results are
     gathered in submission order and flattened, so ``map`` preserves input
     order like every other executor.  Chunking matters for two reasons:
 
@@ -189,25 +203,17 @@ class ProcessPoolTaskExecutor(TaskExecutor):
       backend achieves.
 
     The pool is created lazily on first use and reused across queries;
-    ``close()`` shuts it down.  ``fn`` and every item must be picklable.
+    ``close()`` shuts it down.  ``fn`` and every item must be picklable.  A
+    task that raises — including while its payload is unpickled in the
+    worker — fails ``map`` with that exception and leaves the pool usable.
     """
 
     name = "process-pool"
 
-    def __init__(
-        self, max_workers: Optional[int] = None, tasks_per_worker: int = 1
-    ) -> None:
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be positive when given, got {max_workers}")
-        if tasks_per_worker < 1:
-            raise ValueError(f"tasks_per_worker must be positive, got {tasks_per_worker}")
         self.max_workers = max_workers
-        #: Chunks submitted per worker.  1 (the default) is the coarsest
-        #: split — one contiguous chunk per worker, one pickle round-trip
-        #: each.  Larger values trade extra dispatch overhead for load
-        #: balancing when per-task costs are skewed; results are identical
-        #: either way (chunks stay contiguous and are flattened in order).
-        self.tasks_per_worker = tasks_per_worker
         self._pool: Optional[ProcessPoolExecutor] = None
         # Introspection for benchmarks and tests: the shape of the last
         # parallel dispatch (empty/0 while nothing has been dispatched or the
@@ -230,7 +236,7 @@ class ProcessPoolTaskExecutor(TaskExecutor):
             self.last_workers_used = 0
             return [fn(item) for item in items]
         workers = self.max_workers or os.cpu_count() or 1
-        chunks = split_into_chunks(items, workers * self.tasks_per_worker)
+        chunks = split_into_chunks(items, workers)
         if len(chunks) <= 1:
             self.last_chunk_sizes = []
             self.last_workers_used = 0
@@ -238,10 +244,13 @@ class ProcessPoolTaskExecutor(TaskExecutor):
         self.last_chunk_sizes = [len(chunk) for chunk in chunks]
         self.last_workers_used = min(workers, len(chunks))
         pool = self._ensure_pool()
-        futures = [pool.submit(_run_task_chunk, fn, chunk) for chunk in chunks]
+        futures = [
+            pool.submit(_run_task_chunk, pickle.dumps((fn, chunk), pickle.HIGHEST_PROTOCOL))
+            for chunk in chunks
+        ]
         results: List[_ResultT] = []
         for future in futures:
-            results.extend(future.result())
+            results.extend(future.result())  # type: ignore[arg-type]
         return results
 
     def close(self) -> None:
@@ -250,7 +259,4 @@ class ProcessPoolTaskExecutor(TaskExecutor):
             self._pool = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ProcessPoolTaskExecutor(max_workers={self.max_workers}, "
-            f"tasks_per_worker={self.tasks_per_worker})"
-        )
+        return f"ProcessPoolTaskExecutor(max_workers={self.max_workers})"

@@ -57,10 +57,10 @@ def counters_key(result):
 def execution_backends(max_workers=2):
     """The four execution regimes every service query must agree across.
 
-    Yields ``(name, executor_factory, share_memory)`` triples; ``executor``
-    is ``None`` for the serial regime.  The shared-memory regime reuses the
-    process executor but publishes the service's repository first, so workers
-    attach instead of unpickling.
+    Yields ``(name, executor_factory, frozen)`` triples; ``executor`` is
+    ``None`` for the serial regime.  The ``process+frozen`` regime reuses the
+    process executor but serves a service loaded from a frozen file, so
+    workers reopen the file instead of unpickling a copy of the repository.
     """
     from repro.utils.executor import ProcessPoolTaskExecutor, ThreadPoolTaskExecutor
 
@@ -69,7 +69,7 @@ def execution_backends(max_workers=2):
         ("thread", lambda: ThreadPoolTaskExecutor(max_workers=max_workers), False),
         ("process", lambda: ProcessPoolTaskExecutor(max_workers=max_workers), False),
         (
-            "process+shm",
+            "process+frozen",
             lambda: ProcessPoolTaskExecutor(max_workers=max_workers),
             True,
         ),

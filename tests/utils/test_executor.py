@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from repro.errors import ReproError
 from repro.utils.executor import (
     ProcessPoolTaskExecutor,
     SerialExecutor,
@@ -27,6 +28,19 @@ def _boom(value):
 
 def _worker_pid(_value):
     return os.getpid()
+
+
+def _rebuild_in(parent_pid):
+    if os.getpid() != parent_pid:
+        raise ReproError("payload cannot be rebuilt outside its parent")
+    return _ParentOnly()
+
+
+class _ParentOnly:
+    """Pickles in the parent; unpickling it in any other process raises."""
+
+    def __reduce__(self):
+        return (_rebuild_in, (os.getpid(),))
 
 
 @pytest.mark.parametrize("executor", [SerialExecutor(), ThreadPoolTaskExecutor(4)], ids=["serial", "threads"])
@@ -129,6 +143,13 @@ class TestProcessPool:
         with ProcessPoolTaskExecutor(2) as executor:
             with pytest.raises(ValueError):
                 executor.map(_boom, [1, 2, 3])
+
+    def test_payload_errors_surface_typed_and_keep_the_pool(self):
+        with ProcessPoolTaskExecutor(2) as executor:
+            for _ in range(2):
+                with pytest.raises(ReproError, match="outside its parent"):
+                    executor.map(_worker_pid, [_ParentOnly(), _ParentOnly()])
+            assert executor.map(_square, [3, 4]) == [9, 16]
 
     def test_close_is_idempotent_and_pool_restarts(self):
         executor = ProcessPoolTaskExecutor(2)
