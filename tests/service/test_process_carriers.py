@@ -23,11 +23,18 @@ import pickle
 import pytest
 
 from _equivalence import counters_key, execution_backends, path_records_key, result_key
+from repro.clustering.baselines import FragmentClusterer
 from repro.clustering.reclustering import join_and_remove
 from repro.errors import ReproError
+from repro.mapping.branch_and_bound import BranchAndBoundGenerator
+from repro.matchers.name import NGramNameMatcher
+from repro.objective.bellflower import BellflowerObjective
+from repro.schema.builder import TreeBuilder
 from repro.service import MatchingService, load_snapshot
 from repro.shard import ShardedMatchingService, load_shard_set, write_shard_set
 from repro.storage import freeze_service
+from repro.storage.format import open_frozen, reopen_frozen
+from repro.storage.frozen import FrozenRepository
 from repro.utils.executor import ProcessPoolTaskExecutor
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 from repro.workload.personal import contact_personal_schema, paper_personal_schema
@@ -54,6 +61,15 @@ def make_service(repository=None, **kwargs):
 
 def full_key(result):
     return (result_key(result), path_records_key(result), counters_key(result))
+
+
+def contact_tree(name="added"):
+    builder = TreeBuilder(name)
+    root = builder.root("contact")
+    builder.child(root, "name", datatype="string")
+    builder.child(root, "email", datatype="string")
+    builder.child(root, "address")
+    return builder.build()
 
 
 def warmed_pool(workers=2):
@@ -233,4 +249,196 @@ class TestFrozenGenerations:
             os.replace(generations["next"], generations["live"])
             assert full_key(service.match(generations["schema"])) == generations["first"]
         finally:
+            executor.close()
+
+
+class TestFrozenPayloads:
+    """What a task payload carries, and what it rebuilds into, per carrier."""
+
+    @pytest.fixture()
+    def frozen_pair(self, tmp_path):
+        """An in-memory service and its frozen-loaded twin (no executor)."""
+        plain = make_service(make_repository(seed=97))
+        freeze_service(plain, tmp_path / "pair.frozen")
+        frozen = load_snapshot(tmp_path / "pair.frozen", query_cache_size=0)
+        return plain, frozen, tmp_path / "pair.frozen"
+
+    def test_in_memory_round_trip_is_bit_identical(self, frozen_pair):
+        plain, _, _ = frozen_pair
+        schema = paper_personal_schema()
+        clone = pickle.loads(pickle.dumps(plain))
+        assert clone.repository is not plain.repository
+        assert full_key(clone.match(schema)) == full_key(plain.match(schema))
+
+    def test_frozen_round_trip_is_bit_identical(self, frozen_pair):
+        plain, frozen, _ = frozen_pair
+        schema = paper_personal_schema()
+        clone = pickle.loads(pickle.dumps(frozen))
+        assert full_key(clone.match(schema)) == full_key(plain.match(schema))
+
+    def test_frozen_pickles_are_an_identity_not_a_copy(self, frozen_pair):
+        plain, frozen, _ = frozen_pair
+        assert len(pickle.dumps(frozen.oracle)) < 256 < len(pickle.dumps(plain.oracle))
+        assert len(pickle.dumps(frozen.partition)) < 256 < len(pickle.dumps(plain.partition))
+        assert len(pickle.dumps(frozen)) < 2048 < len(pickle.dumps(plain))
+
+    def test_reopened_oracle_answers_like_the_original(self, frozen_pair):
+        plain, frozen, _ = frozen_pair
+        reopened = pickle.loads(pickle.dumps(frozen.oracle))
+        repository = plain.repository
+        for tree_id in (0, repository.tree_count - 1):
+            tree = repository.tree(tree_id)
+            first = repository.ref(tree_id, 0)
+            last = repository.ref(tree_id, tree.node_count - 1)
+            assert reopened.distance(first, last) == plain.oracle.distance(first, last)
+
+    def test_reopen_reuses_the_process_mapping(self, frozen_pair):
+        _, frozen, path = frozen_pair
+        snapshot = frozen.repository._snapshot
+        assert reopen_frozen(snapshot.identity) is snapshot
+        assert open_frozen(path) is snapshot
+        reopened = pickle.loads(pickle.dumps(frozen.repository))
+        assert reopened is pickle.loads(pickle.dumps(frozen.repository))
+
+
+class TestReopenIdentity:
+    """``reopen_frozen`` in a process that has not mapped the generation."""
+
+    @pytest.fixture()
+    def unmapped(self, tmp_path):
+        """A frozen file and the identity of a mapping kept out of the cache."""
+        freeze_service(make_service(make_repository(seed=97)), tmp_path / "live.frozen")
+        freeze_service(make_service(make_repository(seed=98)), tmp_path / "next.frozen")
+        snapshot = open_frozen(tmp_path / "live.frozen", cached=False)
+        return snapshot, tmp_path
+
+    def test_unchanged_file_reopens(self, unmapped):
+        snapshot, tmp_path = unmapped
+        assert reopen_frozen(snapshot.identity).identity == snapshot.identity
+
+    def test_deleted_file_is_refused(self, unmapped):
+        snapshot, tmp_path = unmapped
+        os.unlink(tmp_path / "live.frozen")
+        with pytest.raises(ReproError, match="no longer"):
+            reopen_frozen(snapshot.identity)
+
+    def test_replaced_file_is_refused(self, unmapped):
+        snapshot, tmp_path = unmapped
+        os.replace(tmp_path / "next.frozen", tmp_path / "live.frozen")
+        with pytest.raises(ReproError, match="replaced"):
+            reopen_frozen(snapshot.identity)
+
+    def test_same_size_and_mtime_on_a_new_inode_is_a_new_generation(self, unmapped):
+        snapshot, tmp_path = unmapped
+        live = tmp_path / "live.frozen"
+        before = live.stat()
+        twin = tmp_path / "twin.frozen"
+        twin.write_bytes(live.read_bytes())
+        os.utime(twin, ns=(before.st_atime_ns, before.st_mtime_ns))
+        os.replace(twin, live)
+        after = live.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert after.st_ino != before.st_ino
+        with pytest.raises(ReproError, match="replaced"):
+            reopen_frozen(snapshot.identity)
+        assert open_frozen(live).identity != snapshot.identity
+
+
+class TestThawedFrozenServices:
+    """After a mutation a frozen-loaded service crosses processes by copy."""
+
+    @pytest.fixture()
+    def frozen_path(self, tmp_path):
+        freeze_service(make_service(make_repository(seed=97)), tmp_path / "thaw.frozen")
+        return tmp_path / "thaw.frozen"
+
+    def test_service_mutation_pickles_by_copy(self, frozen_path):
+        service = load_snapshot(frozen_path, query_cache_size=0)
+        service.add_tree(contact_tree())
+        assert not isinstance(service.repository, FrozenRepository)
+        blob = pickle.dumps(service.oracle)
+        assert len(blob) > 256  # the copy path, not a reopen
+        clone = pickle.loads(blob)
+        assert clone.repository.tree_count == service.repository.tree_count
+
+    def test_direct_repository_mutation_pickles_by_copy(self, frozen_path):
+        service = load_snapshot(frozen_path, query_cache_size=0)
+        service.repository.add_tree(contact_tree("side-channel"))
+        blob = pickle.dumps(service.oracle)
+        assert len(blob) > 256
+        clone = pickle.loads(blob)
+        assert clone.repository.tree_count == service.repository.tree_count
+
+    @pytest.mark.parametrize("mutation", ["add", "add+remove"])
+    def test_mutated_service_over_a_process_pool_matches_serial(self, frozen_path, mutation):
+        reference = make_service(make_repository(seed=97))
+        executor = ProcessPoolTaskExecutor(max_workers=2)
+        try:
+            service = load_snapshot(frozen_path, executor=executor, query_cache_size=0)
+            for target in (reference, service):
+                target.add_tree(contact_tree())
+                if mutation == "add+remove":
+                    target.remove_tree(3)
+            for schema in (paper_personal_schema(), contact_personal_schema()):
+                assert full_key(service.match(schema)) == full_key(reference.match(schema))
+            assert executor.last_workers_used == 2
+        finally:
+            executor.close()
+
+
+class _CustomMatcher(NGramNameMatcher):
+    pass
+
+
+class _CustomObjective(BellflowerObjective):
+    pass
+
+
+class _CustomGenerator(BranchAndBoundGenerator):
+    pass
+
+
+_CUSTOM_COMPONENTS = {
+    "matcher": lambda: {"matcher": _CustomMatcher()},
+    "objective": lambda: {"objective": _CustomObjective()},
+    "generator": lambda: {"generator": _CustomGenerator()},
+    "clusterer": lambda: {"variant": None, "clusterer": FragmentClusterer(max_fragment_size=10)},
+}
+
+
+class TestCustomComponents:
+    """User-supplied components travel by copy with the chunk."""
+
+    @pytest.mark.parametrize("component", sorted(_CUSTOM_COMPONENTS))
+    def test_custom_component_crosses_the_process_boundary(self, component):
+        repository = make_repository(seed=151)
+        schema = paper_personal_schema()
+        serial = make_service(repository, **_CUSTOM_COMPONENTS[component]())
+        executor = ProcessPoolTaskExecutor(max_workers=2)
+        try:
+            service = make_service(
+                repository, executor=executor, **_CUSTOM_COMPONENTS[component]()
+            )
+            assert full_key(service.match(schema)) == full_key(serial.match(schema))
+            assert executor.last_workers_used == 2
+        finally:
+            executor.close()
+
+
+class TestInMemoryShards:
+    def test_in_memory_shards_over_a_process_pool_match_unsharded(self):
+        repository = make_repository(seed=211)
+        schema = paper_personal_schema()
+        baseline = make_service(repository).match(schema, top_k=5)
+        executor = ProcessPoolTaskExecutor(max_workers=2)
+        sharded = ShardedMatchingService.from_repository(
+            repository, 3, executor=executor, query_cache_size=0
+        )
+        try:
+            for _ in range(2):
+                result = sharded.match(schema, top_k=5)
+                assert result_key(result) == result_key(baseline)
+                assert path_records_key(result) == path_records_key(baseline)
+        finally:
+            sharded.close()
             executor.close()

@@ -134,6 +134,15 @@ class TestProcessPool:
         with ProcessPoolTaskExecutor(2) as executor:
             assert executor.map(_worker_pid, [0]) == [os.getpid()]
 
+    def test_dispatches_one_chunk_per_worker(self):
+        with ProcessPoolTaskExecutor(3) as executor:
+            assert executor.map(_square, list(range(10))) == [value * value for value in range(10)]
+            assert executor.last_chunk_sizes == [4, 3, 3]
+            assert executor.last_workers_used == 3
+            assert executor.map(_square, [1, 2]) == [1, 4]
+            assert executor.last_chunk_sizes == [1, 1]
+            assert executor.last_workers_used == 2
+
     def test_multiple_items_use_worker_processes(self):
         with ProcessPoolTaskExecutor(2) as executor:
             pids = executor.map(_worker_pid, list(range(8)))
