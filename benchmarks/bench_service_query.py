@@ -11,10 +11,12 @@ over one generated repository:
     process paid before the service layer existed.
 
 ``snapshot_load_seconds``
-    Load the same state from a service snapshot in one file read.
+    Load the same state from a service snapshot in one file read — all of it
+    but the distance oracles, which are not persisted.
 
 ``cold/warm/cached query latency``
-    First query after start-up, a different schema (shares the warm derived
+    First query after start-up (which also builds the distance oracles of
+    the trees it touches), a different schema (shares the warm derived
     state but misses the query cache), and an exact repeat served from the
     fingerprint-keyed LRU element-match-table cache.
 

@@ -3,7 +3,7 @@
 Builds a :class:`~repro.service.MatchingService` over a synthetic repository,
 persists it as a one-file snapshot, loads a second service from that snapshot,
 registers a new schema tree on the *live* service (patching only the affected
-index postings, oracle rows and partition fragments), and then verifies the
+index postings and partition fragments), and then verifies the
 headline guarantee: the incrementally updated service answers queries
 **bit-identically** to a service rebuilt from scratch over the same final
 forest — while loading and updating in a fraction of the time.
@@ -43,7 +43,8 @@ def main() -> None:
     service = MatchingService(repository, element_threshold=0.45, delta=0.7)
     print(f"repository: {repository.tree_count} trees, {repository.node_count} nodes")
 
-    # 2. Snapshot it: one JSON file holding the forest + every derived table.
+    # 2. Snapshot it: one JSON file holding the forest + its name index and
+    #    partition (distance oracles are rebuilt on first use after a load).
     snapshot_path = Path(tempfile.mkdtemp(prefix="bellflower_")) / "repository.snapshot.json"
     write_snapshot(service, snapshot_path)
     print(f"snapshot: {snapshot_path.stat().st_size} bytes at {snapshot_path}")
@@ -52,7 +53,7 @@ def main() -> None:
     started = time.perf_counter()
     served = load_snapshot(snapshot_path)
     print(f"loaded service in {time.perf_counter() - started:.3f}s "
-          f"({served.oracle.built_oracle_count} oracles, "
+          f"({len(served.repository.cached_name_indexes())} name indexes, "
           f"{served.partition.built_tree_count} partitioned trees)")
 
     # 4. Query, then register a new tree on the LIVE service.

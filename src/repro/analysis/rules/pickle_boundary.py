@@ -49,10 +49,6 @@ PICKLE_BOUNDARY_ALLOWLIST: Dict[str, Dict[str, object]] = {
         "hooks": True,
         "why": "strips the lock; workers get a per-process incumbent copy (prune-only, exact)",
     },
-    "repro.labeling.distance.RepositoryDistanceOracle": {
-        "hooks": True,
-        "why": "strips the build lock and built per-tree rows; workers rebuild only the trees they touch",
-    },
     "repro.matchers.index.LRUMemo": {
         "hooks": True,
         "why": "drops the lock and memo contents; workers rebuild their own bounded memo",
@@ -80,10 +76,6 @@ PICKLE_BOUNDARY_ALLOWLIST: Dict[str, Dict[str, object]] = {
     "repro.storage.frozen.FrozenNameIndex": {
         "hooks": True,
         "why": "immutable mmap-backed index; reduces to (generation, position) so workers attach, never copy",
-    },
-    "repro.storage.frozen.FrozenRepositoryDistanceOracle": {
-        "hooks": True,
-        "why": "reopens the opened file generation while pristine, else copies sans mmap views",
     },
     "repro.storage.frozen.FrozenPartition": {
         "hooks": True,

@@ -18,8 +18,9 @@ Nine subcommands cover the typical usage of the library without writing code:
 
 ``snapshot``
     Build a :class:`~repro.service.MatchingService` over a repository, eagerly
-    materialize all derived state (name/trigram index, distance oracles,
-    repository partition) and persist everything as one snapshot file.
+    materialize its derived state and persist the repository, name/trigram
+    index and repository partition as one snapshot file (distance oracles are
+    rebuilt by each loading process).
 
 ``query``
     Load a snapshot (or a shard set via ``--shards``) and answer a single
@@ -225,7 +226,7 @@ def _command_snapshot(args: argparse.Namespace) -> int:
     print(
         f"wrote snapshot of {repository.node_count} nodes in {repository.tree_count} trees "
         f"to {args.out} (variant {service.variant_name}, "
-        f"{len(payload['oracles'])} oracles, {len(payload['name_indexes'])} name indexes)"
+        f"{len(payload['name_indexes'])} name indexes)"
     )
     return 0
 
@@ -244,7 +245,7 @@ def _command_snapshot_freeze(args: argparse.Namespace) -> int:
 
 
 def _command_snapshot_inspect(args: argparse.Namespace) -> int:
-    """Header-only inspection: no tree, oracle or index is ever materialized."""
+    """Header-only inspection: no tree or index is ever materialized."""
     import json as json_module
 
     from repro.storage import is_frozen_file, open_frozen
@@ -298,7 +299,6 @@ def _command_snapshot_inspect(args: argparse.Namespace) -> int:
         f"element_threshold={config.get('element_threshold')} delta={config.get('delta')}"
     )
     print(f"  indexes: {len(payload.get('name_indexes', []))}")
-    print(f"  oracles: {len(payload.get('oracles', {}))}")
     return 0
 
 

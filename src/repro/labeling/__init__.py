@@ -11,7 +11,9 @@ and the path-length hint of the objective function.  This package provides:
 * :class:`~repro.labeling.distance.TreeDistanceOracle` — Euler-tour + sparse
   table LCA, giving O(1) tree distance (path length) queries;
 * :class:`~repro.labeling.distance.RepositoryDistanceOracle` — per-tree oracles
-  over a whole repository, treating nodes of different trees as unreachable.
+  over a whole repository, treating nodes of different trees as unreachable;
+  the oracles themselves are derived state cached on the repository and
+  rebuilt per process, never persisted.
 """
 
 from repro.labeling.interval import IntervalLabeling

@@ -4,10 +4,10 @@
 table over the tour's depth sequence; lowest-common-ancestor queries then take
 two array lookups, and ``distance(u, v) = depth(u) + depth(v) - 2 * depth(lca)``.
 
-``RepositoryDistanceOracle`` lazily builds one oracle per repository tree and
-answers distance queries between arbitrary repository nodes, returning ``None``
-for nodes of different trees (the clustering distance treats those as
-infinitely far apart, so clusters never span trees).
+``RepositoryDistanceOracle`` answers distance queries between arbitrary
+repository nodes through the repository's lazily built per-tree oracles,
+returning ``None`` for nodes of different trees (the clustering distance
+treats those as infinitely far apart, so clusters never span trees).
 
 Both the k-means clusterer (distance measure, Sec. 4) and the Bellflower
 objective function (path-length hint, Eq. 2) are built on these oracles, which
@@ -17,12 +17,11 @@ of path lengths".
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import LabelingError, UnknownNodeError
 from repro.labeling.sparse_table import SparseTable
-from repro.schema.repository import RepositoryNodeRef, SchemaRepository, shift_tree_keys
+from repro.schema.repository import RepositoryNodeRef, SchemaRepository
 from repro.schema.tree import SchemaTree
 
 
@@ -38,49 +37,6 @@ class TreeDistanceOracle:
         self._first_occurrence: List[int] = [-1] * tree.node_count
         self._build_euler_tour()
         self._rmq = SparseTable(self._euler_depths)
-
-    # -- (de)serialization ----------------------------------------------------
-
-    def to_payload(self) -> Dict[str, object]:
-        """The oracle's tables as JSON-friendly lists (repository snapshots).
-
-        The sparse-table levels are included so a snapshot load skips the
-        doubling construction entirely; they are pure derived data, so a
-        corrupt payload can at worst produce wrong distances — the round-trip
-        tests pin exact equality against a fresh build.
-        """
-        return {
-            "euler_nodes": list(self._euler_nodes),
-            "euler_depths": list(self._euler_depths),
-            "first_occurrence": list(self._first_occurrence),
-            "rmq_levels": self._rmq.levels(),
-        }
-
-    @classmethod
-    def from_payload(cls, tree: SchemaTree, payload: Dict[str, object]) -> "TreeDistanceOracle":
-        """Rebuild an oracle from :meth:`to_payload` output for the same tree.
-
-        The payload sequences are adopted as-is: the JSON snapshot loader hands
-        over live ``array('i')`` buffers and the frozen loader mapped slices, and rehydrating them
-        into per-integer Python objects would dominate load time and memory.
-        Oracles built this way are complete, so the build paths that append to
-        the tour never run against an adopted buffer.
-        """
-        euler_nodes = payload["euler_nodes"]
-        euler_depths = payload["euler_depths"]
-        first_occurrence = payload["first_occurrence"]
-        if len(first_occurrence) != tree.node_count or len(euler_nodes) != 2 * tree.node_count - 1:
-            raise LabelingError(
-                f"serialized oracle does not fit tree {tree.name!r} "
-                f"({tree.node_count} nodes, tour length {len(euler_nodes)})"
-            )
-        oracle = cls.__new__(cls)
-        oracle.tree = tree
-        oracle._euler_nodes = euler_nodes
-        oracle._euler_depths = euler_depths
-        oracle._first_occurrence = first_occurrence
-        oracle._rmq = SparseTable.from_built(euler_depths, payload["rmq_levels"])
-        return oracle
 
     def _build_euler_tour(self) -> None:
         # Iterative Euler tour: every time a node is entered or returned to
@@ -151,47 +107,28 @@ class TreeDistanceOracle:
 
 
 class RepositoryDistanceOracle:
-    """Per-tree distance oracles over a whole repository.
+    """Distance queries over a whole repository, one tree oracle per tree.
 
-    Oracles are built lazily on first use so that matching problems touching a
-    small part of a large repository do not pay preprocessing for every tree.
+    The facade holds no state of its own: the per-tree oracles are derived
+    state owned by the repository (``SchemaRepository._oracle_cache``), built
+    on first use in each process, re-keyed by ``remove_tree`` and never
+    persisted or pickled.  Every pipeline over one repository object therefore
+    shares one oracle per tree, however it mutates the repository.
     """
 
     def __init__(self, repository: SchemaRepository) -> None:
         self.repository = repository
-        self._oracles: Dict[int, TreeDistanceOracle] = {}
-        # Concurrent per-cluster mapping generation (repro.service) may query
-        # the oracle from several worker threads; the lock only guards the
-        # build-and-insert of a missing per-tree oracle, not the O(1) queries.
-        self._build_lock = threading.Lock()
-
-    # -- pickling (process executors) -----------------------------------------
-    # Mapping problems shipped to worker processes reference the oracle.  The
-    # lock cannot cross a process boundary, and the built per-tree tables are
-    # cheap to rebuild lazily compared to serializing them, so a pickled
-    # oracle travels empty: each worker rebuilds only the trees its clusters
-    # actually touch.  (Snapshots persist oracles through their own explicit
-    # format, not through pickle.)
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_build_lock"]
-        state["_oracles"] = {}
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._build_lock = threading.Lock()
 
     def oracle(self, tree_id: int) -> TreeDistanceOracle:
-        """The (cached) oracle for one repository tree (thread-safe build)."""
-        oracle = self._oracles.get(tree_id)
+        """The tree's oracle, built on first use.
+
+        ``setdefault`` publishes a first build atomically, so threads racing
+        on an unbuilt tree still share one instance.
+        """
+        cache = self.repository._oracle_cache
+        oracle = cache.get(tree_id)
         if oracle is None:
-            with self._build_lock:
-                oracle = self._oracles.get(tree_id)
-                if oracle is None:
-                    oracle = TreeDistanceOracle(self.repository.tree(tree_id))
-                    self._oracles[tree_id] = oracle
+            oracle = cache.setdefault(tree_id, TreeDistanceOracle(self.repository.tree(tree_id)))
         return oracle
 
     def build_all(self) -> None:
@@ -199,35 +136,10 @@ class RepositoryDistanceOracle:
         for tree in self.repository.trees():
             self.oracle(tree.tree_id)
 
-    def on_tree_removed(self, removed_tree_id: int) -> None:
-        """Re-key the cache after ``SchemaRepository.remove_tree``.
-
-        Only the removed tree's oracle row is dropped; oracles of later trees
-        are reused under their decremented tree id (their underlying
-        :class:`SchemaTree` objects are untouched by the removal, so every
-        cached table stays valid).
-        """
-        with self._build_lock:
-            self._oracles = shift_tree_keys(self._oracles, removed_tree_id)
-
-    def install(self, tree_id: int, oracle: TreeDistanceOracle) -> None:
-        """Install a deserialized per-tree oracle (snapshot load)."""
-        if oracle.tree is not self.repository.tree(tree_id):
-            raise LabelingError(
-                f"oracle for tree {oracle.tree.name!r} does not belong to "
-                f"tree id {tree_id} of repository {self.repository.name!r}"
-            )
-        with self._build_lock:
-            self._oracles[tree_id] = oracle
-
-    def built_tree_ids(self) -> List[int]:
-        """Tree ids whose oracles are currently materialized (snapshot write)."""
-        return sorted(self._oracles)
-
     @property
     def built_oracle_count(self) -> int:
         """How many per-tree oracles have been materialized so far."""
-        return len(self._oracles)
+        return len(self.repository._oracle_cache)
 
     def distance(self, first: RepositoryNodeRef, second: RepositoryNodeRef) -> Optional[int]:
         """Path length between two repository nodes, ``None`` across trees."""

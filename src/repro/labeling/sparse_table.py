@@ -37,37 +37,6 @@ class SparseTable:
                 row.append(left if self._values[left] <= self._values[right] else right)
             self._table.append(row)
 
-    @classmethod
-    def from_built(cls, values: Sequence[float], table: Sequence[Sequence[int]]) -> "SparseTable":
-        """Reconstruct a table from previously built levels (snapshot load).
-
-        ``table`` must be the levels produced by a prior construction over the
-        same ``values``; only the logarithm lookup is recomputed (a linear
-        integer pass, far below the O(n log n) doubling construction).
-        """
-        if len(values) == 0:
-            raise LabelingError("cannot rebuild a sparse table over an empty sequence")
-        instance = cls.__new__(cls)
-        # Adopt list inputs, keep everything else (array('i') buffers, range
-        # for the identity level) live — argmin/minimum only ever index and
-        # len() them, and copying per-integer would defeat the packed loaders.
-        instance._values = values if not isinstance(values, list) else list(values)
-        size = len(instance._values)
-        instance._log = [0] * (size + 1)
-        for i in range(2, size + 1):
-            instance._log[i] = instance._log[i // 2] + 1
-        instance._table = [row if not isinstance(row, list) else list(row) for row in table]
-        if len(instance._table) != instance._log[size] + 1:
-            raise LabelingError(
-                f"serialized sparse table has {len(instance._table)} levels, "
-                f"expected {instance._log[size] + 1} for size {size}"
-            )
-        return instance
-
-    def levels(self) -> List[List[int]]:
-        """The raw doubling levels (serialized by repository snapshots)."""
-        return [list(row) for row in self._table]
-
     def __len__(self) -> int:
         return len(self._values)
 

@@ -75,6 +75,11 @@ class SchemaRepository:
         # matchers (see repro.matchers.index.RepositoryNameIndex) and
         # invalidated whenever the forest mutates (add or remove).
         self._name_index_cache: Dict[bool, object] = {}
+        # Per-tree distance oracles (repro.labeling.distance), built on first
+        # use by every RepositoryDistanceOracle over this repository.  Each
+        # depends on its own tree only: additions leave the cache alone and
+        # removals re-key it (see remove_tree).  Never persisted or pickled.
+        self._oracle_cache: Dict[int, object] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -82,10 +87,10 @@ class SchemaRepository:
     def version(self) -> int:
         """Monotonic mutation counter, bumped by every ``add_tree``/``remove_tree``.
 
-        Derived state (name indexes, oracles, partitions) records the version
-        it was built against; a mismatch means the state is stale.  Unlike a
-        node count, the version also detects equal-size mutations (remove one
-        tree, add another of the same size).
+        Name indexes record the version they were built against; a mismatch
+        means the index is stale.  Unlike a node count, the version also
+        detects equal-size mutations (remove one tree, add another of the same
+        size).
         """
         return self._version
 
@@ -97,12 +102,14 @@ class SchemaRepository:
     # Per-cluster task payloads shipped to worker processes reach the
     # repository through the distance oracle.  The lazily built name indexes
     # are only used by the element-matching stage, which always runs in the
-    # parent process, so a pickled repository travels without them (they would
-    # dominate the payload size otherwise).
+    # parent process, and the per-tree oracles are cheaper to rebuild than to
+    # ship, so a pickled repository travels without either: each worker builds
+    # only the oracles of the trees its clusters touch.
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_name_index_cache"] = {}
+        state["_oracle_cache"] = {}
         return state
 
     def add_tree(self, tree: SchemaTree) -> int:
@@ -145,6 +152,7 @@ class SchemaRepository:
             self._offsets.append(total)
             total += tree.node_count
         self._total_nodes = total
+        self._oracle_cache = shift_tree_keys(self._oracle_cache, tree_id)
         self._invalidate_derived_state()
         return removed
 

@@ -6,7 +6,7 @@ package treats the repository as a long-lived, versioned asset.
 * :class:`MatchingService` — the facade: query caching, incremental
   ``add_tree``/``remove_tree``, pluggable concurrency.
 * :mod:`repro.service.snapshot` — one-file persistence of the repository and
-  all derived state (indexes, oracles, partition).
+  its persisted derived state (indexes, partition).
 * :class:`RepositoryPartition` / :class:`PartitionClusterer` — the
   precomputable, snapshot-friendly clustering configuration.
 * :func:`schema_fingerprint` — the query-cache key.

@@ -11,13 +11,15 @@ queries:
 
 * **snapshots** — :func:`repro.service.snapshot.write_snapshot` /
   :func:`~repro.service.snapshot.load_snapshot` persist the repository plus
-  every piece of built derived state, so a service process starts from one
-  file read instead of recomputing (see ``benchmarks/bench_service_query.py``
-  for the cold-load vs snapshot-load numbers);
+  its name index and partition, so a service process starts from one file
+  read instead of recomputing (see ``benchmarks/bench_service_query.py`` for
+  the cold-load vs snapshot-load numbers); distance oracles are about as
+  cheap to rebuild as to load, so each process builds them on first use;
 * **incremental updates** — :meth:`add_tree` / :meth:`remove_tree` mutate the
-  repository and patch only the affected index postings, oracle rows and
-  partition entries, with results provably identical to a full rebuild
-  (``tests/service/test_incremental.py`` pins the equivalence);
+  repository and patch only the affected index postings and partition
+  entries (the repository re-keys its own oracle cache), with results
+  provably identical to a full rebuild (``tests/service/test_incremental.py``
+  pins the equivalence);
 * **concurrent queries** — per-cluster mapping generation dispatches through
   a pluggable :class:`~repro.utils.executor.TaskExecutor`, and a bounded LRU
   cache keyed by a personal-schema fingerprint reuses whole element-matching
@@ -204,12 +206,13 @@ class MatchingService(MatcherAPIMixin):
     # -- warm-up -------------------------------------------------------------
 
     def build_derived_state(self) -> None:
-        """Eagerly materialize everything a snapshot would persist.
+        """Eagerly materialize the derived state queries build on first touch.
 
         Builds the batch matcher's name index, every per-tree distance oracle
         and (for the partition clusterer) every tree's fragments.  A serving
-        process calls this once at start-up — or skips it entirely by loading
-        a snapshot — so that no query pays first-touch construction costs.
+        process calls this once at start-up so that no query pays first-touch
+        construction costs.  Snapshots persist all of it except the oracles,
+        which a process loading a snapshot builds per tree on first use.
         """
         matcher = self._system.matcher
         if isinstance(matcher, BatchElementMatcher) and getattr(matcher, "supports_batch", False):
@@ -364,8 +367,8 @@ class MatchingService(MatcherAPIMixin):
 
         Every cached name index gains only the new tree's postings
         (:meth:`~repro.matchers.index.RepositoryNameIndex.with_tree_added`),
-        existing oracle rows stay untouched (the new tree's oracle builds on
-        first use), and the partition fragments only the new tree.  The
+        the repository's existing oracles stay untouched (the new tree's oracle
+        builds on first use), and the partition fragments only the new tree.  The
         resulting service state is provably identical to one built from
         scratch over the enlarged forest — the repository's id assignment is
         append-only, and every maintained structure is per-tree or
@@ -386,8 +389,8 @@ class MatchingService(MatcherAPIMixin):
         """Unregister a tree, patching derived state instead of rebuilding.
 
         Name-index postings referencing the tree are dropped and later trees'
-        references shifted; the tree's oracle row is evicted (later rows are
-        re-keyed, their tables are untouched and stay valid); the partition
+        references shifted; the repository evicts the tree's oracle itself
+        (later oracles are re-keyed and stay valid); the partition
         drops one entry.  Equivalent to a rebuild over the surviving forest
         because :meth:`SchemaRepository.remove_tree` leaves the repository
         indistinguishable from one freshly built from the survivors.
@@ -402,7 +405,6 @@ class MatchingService(MatcherAPIMixin):
             repository.install_name_index(
                 index.with_tree_removed(repository, tree_id, removed_node_count)
             )
-        self.oracle.on_tree_removed(tree_id)
         if self.partition is not None:
             self.partition.on_tree_removed(tree_id)
         self._query_cache.clear()

@@ -7,25 +7,27 @@ A snapshot is one JSON document holding everything a serving process needs:
   and the trigram blocking structures
   (:meth:`~repro.matchers.index.RepositoryNameIndex.from_serialized` restores
   the refs in one pass, without re-folding a single name);
-* every built per-tree labeling distance oracle — Euler tour, depth sequence,
-  first occurrences and the sparse-table levels, so the O(n log n) doubling
-  construction is skipped on load;
 * the precomputed repository partition (when the service uses the default
   partition clusterer);
 * the service configuration (thresholds, matcher, variant), so
   :func:`load_snapshot` returns a ready :class:`~repro.service.MatchingService`.
 
+The per-tree distance oracles are not stored: building them is about as cheap
+as decoding them, so every process builds its own on first use.  Version 1
+documents written by older builds may still carry an ``oracles`` key; loaders
+ignore it.
+
 Packed integer arrays
 ---------------------
 
-The derived state is dominated by large flat integer sequences (Euler tours,
-sparse-table rows, posting lists).  Parsing them as JSON arrays costs one
-Python object per integer; instead they are stored as base64-encoded
+The derived state is dominated by large flat integer sequences (per-node
+name ids, posting lists, fragment members).  Parsing them as JSON arrays costs
+one Python object per integer; instead they are stored as base64-encoded
 little-endian ``int32`` buffers (:func:`_pack_ints`), which the C base64 and
 ``array`` machinery decode two orders of magnitude faster.  The document
 remains a single self-describing JSON file.  On load the buffers are kept as
 *live* ``array('i')`` objects wherever the consumer tolerates a sequence
-(oracle tours, sparse-table rows): no per-integer Python object is ever
+(posting lists, fragment members): no per-integer Python object is ever
 materialized for them.
 
 Version policy
@@ -58,7 +60,6 @@ from typing import Any, Dict, List, Optional
 from repro.clustering.kmeans import Clusterer
 from repro.clustering.reclustering import ReclusteringStrategy
 from repro.errors import ConfigurationError, ReproError
-from repro.labeling.distance import TreeDistanceOracle
 from repro.mapping.base import MappingGenerator
 from repro.matchers.base import ElementMatcher
 from repro.matchers.index import RepositoryNameIndex
@@ -91,45 +92,6 @@ def _unpack_ints(text: str) -> array:
     from repro.storage.format import unpack_int32
 
     return unpack_int32(base64.b64decode(text))
-
-
-def _pack_oracle(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Pack a :meth:`TreeDistanceOracle.to_payload` dict for the snapshot.
-
-    Sparse-table level 0 is always ``range(size)`` and every deeper level's
-    width is ``size - 2**level + 1``, so the levels from 1 up are stored as
-    one flat buffer and re-sliced on load.
-    """
-    return {
-        "euler_nodes": _pack_ints(payload["euler_nodes"]),
-        "euler_depths": _pack_ints(payload["euler_depths"]),
-        "first_occurrence": _pack_ints(payload["first_occurrence"]),
-        "rmq": _pack_ints(
-            [index for level in payload["rmq_levels"][1:] for index in level]
-        ),
-    }
-
-
-def _unpack_oracle(packed: Dict[str, Any]) -> Dict[str, Any]:
-    euler_depths = _unpack_ints(packed["euler_depths"])
-    size = len(euler_depths)
-    # Level 0 of the sparse table is the identity; ``range`` is a live O(1)
-    # sequence, so no length-``size`` list is ever built for it.
-    levels: List[Any] = [range(size)]
-    flat = _unpack_ints(packed["rmq"])
-    position = 0
-    level = 1
-    while (1 << level) <= size:
-        width = size - (1 << level) + 1
-        levels.append(flat[position : position + width])
-        position += width
-        level += 1
-    return {
-        "euler_nodes": _unpack_ints(packed["euler_nodes"]),
-        "euler_depths": euler_depths,
-        "first_occurrence": _unpack_ints(packed["first_occurrence"]),
-        "rmq_levels": levels,
-    }
 
 
 def _pack_partition(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -239,11 +201,6 @@ def service_to_snapshot_dict(service: MatchingService, build: bool = True) -> Di
                 ),
             }
         name_indexes.append(entry)
-    oracle = service.oracle
-    oracles = {
-        str(tree_id): _pack_oracle(oracle.oracle(tree_id).to_payload())
-        for tree_id in oracle.built_tree_ids()
-    }
     return {
         "format": SNAPSHOT_FORMAT,
         "version": SNAPSHOT_VERSION,
@@ -257,7 +214,6 @@ def service_to_snapshot_dict(service: MatchingService, build: bool = True) -> Di
             "query_cache_size": service.query_cache_size,
         },
         "name_indexes": name_indexes,
-        "oracles": oracles,
         "partition": (
             None
             if service.partition is None
@@ -363,14 +319,6 @@ def snapshot_to_service(
                 position += size
             index.install_blocking(_unpack_ints(blocking["gram_counts"]), postings)
         repository.install_name_index(index)
-    for tree_key, oracle_payload in payload.get("oracles", {}).items():
-        tree_id = int(tree_key)
-        service.oracle.install(
-            tree_id,
-            TreeDistanceOracle.from_payload(
-                repository.tree(tree_id), _unpack_oracle(oracle_payload)
-            ),
-        )
     return service
 
 

@@ -35,7 +35,6 @@ from repro.storage.frozen import (
     FrozenNameIndex,
     FrozenPartition,
     FrozenRepository,
-    FrozenRepositoryDistanceOracle,
     load_frozen_service,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "FrozenNameIndex",
     "FrozenPartition",
     "FrozenRepository",
-    "FrozenRepositoryDistanceOracle",
     "FrozenSnapshot",
     "compact_frozen",
     "freeze_service",

@@ -5,13 +5,13 @@ Three entry points, all writing through :class:`_FrozenWriter`:
 * :func:`freeze_service` — persist a live service (the frozen sibling of
   :func:`repro.service.snapshot.write_snapshot`);
 * :func:`freeze_snapshot_file` — convert a JSON snapshot file, streaming one
-  tree at a time (the JSON document is parsed once, but trees, oracles and
-  fragments are decoded, folded into the writer's flat arrays and dropped
+  tree at a time (the JSON document is parsed once, but trees and fragments
+  are decoded, folded into the writer's flat arrays and dropped
   individually — no :class:`~repro.schema.SchemaRepository` and no second copy
   of the forest ever exists in memory);
 * :func:`compact_frozen` — merge mutations (added / removed trees) into a new
-  frozen generation, copying the surviving trees' oracle and partition
-  segments slice-for-slice out of the source mapping without decoding them.
+  frozen generation, copying the surviving trees' partition segments
+  slice-for-slice out of the source mapping without decoding them.
 
 The writer accumulates plain ``array('i')`` / ``bytearray`` buffers — ints,
 never per-node Python objects — so freezing a million-node repository costs a
@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ClusteringError, ReproError
-from repro.labeling.distance import TreeDistanceOracle
 from repro.matchers.string_metrics import _ngrams
 from repro.schema.repository import SchemaRepository
 from repro.schema.serialization import _FORMAT_VERSION, tree_from_dict
@@ -38,7 +37,6 @@ from repro.service.snapshot import (
     SNAPSHOT_FORMAT,
     SNAPSHOT_VERSION,
     _unpack_ints,
-    _unpack_oracle,
     _unpack_partition,
 )
 from repro.storage.format import SegmentWriter, is_frozen_file, open_frozen
@@ -54,10 +52,11 @@ class _FrozenWriter:
     ``docs/ARCHITECTURE.md``).
 
     ``add_tree`` is strictly streaming: it folds one tree's structure into the
-    growing arrays and keeps no reference to the tree.  Oracle payloads and
-    fragment lists are optional per tree — when omitted they are built from
-    the tree itself, so every frozen file is *complete* (the frozen loader
-    never rebuilds derived state).
+    growing arrays and keeps no reference to the tree.  Fragment lists are
+    optional per tree — when omitted they are built from the tree itself, so
+    a frozen partition is *complete* (the frozen loader never refragments).
+    Distance oracles are not written: they are cheaper to rebuild per process
+    than to store.
     """
 
     def __init__(self, repository_name: str) -> None:
@@ -78,13 +77,6 @@ class _FrozenWriter:
         self._names: List[str] = []
         self._name_ids: Dict[str, int] = {}
         self._properties: Dict[str, Dict[str, Any]] = {}
-        # oracle
-        self._tour_offsets = array("i", [0])
-        self._euler_nodes = array("i")
-        self._euler_depths = array("i")
-        self._first_occurrence = array("i")
-        self._rmq_offsets = array("i", [0])
-        self._rmq_values = array("i")
         # partition
         self._frag_offsets = array("i", [0])
         self._member_offsets = array("i", [0])
@@ -113,17 +105,12 @@ class _FrozenWriter:
     def add_tree(
         self,
         tree: SchemaTree,
-        oracle_payload: Optional[Dict[str, Any]] = None,
         fragments: Optional[Sequence[Sequence[int]]] = None,
     ) -> int:
         """Fold one tree into the image; returns its tree id in the frozen file.
 
-        ``oracle_payload`` is a :meth:`TreeDistanceOracle.to_payload`-shaped
-        dict, with either ``rmq_levels`` (list of level rows) or ``rmq_flat``
-        (levels from 1 up pre-flattened, the on-disk shape).  ``fragments`` is
-        the tree's fragment list; both are computed from the tree when absent
-        (fragments only when a partition was declared via
-        :meth:`set_partition`).
+        ``fragments`` is the tree's fragment list, computed from the tree when
+        absent (only when a partition was declared via :meth:`set_partition`).
         """
         tree_id = len(self._tree_sizes)
         size = tree.node_count
@@ -155,20 +142,6 @@ class _FrozenWriter:
                 tree_properties[str(node_id)] = node.properties
         if tree_properties:
             self._properties[str(tree_id)] = tree_properties
-
-        if oracle_payload is None:
-            oracle_payload = TreeDistanceOracle(tree).to_payload()
-        self._euler_nodes.extend(oracle_payload["euler_nodes"])
-        self._euler_depths.extend(oracle_payload["euler_depths"])
-        self._first_occurrence.extend(oracle_payload["first_occurrence"])
-        self._tour_offsets.append(len(self._euler_nodes))
-        flat = oracle_payload.get("rmq_flat")
-        if flat is None:
-            for level in oracle_payload["rmq_levels"][1:]:
-                self._rmq_values.extend(level)
-        else:
-            self._rmq_values.extend(flat)
-        self._rmq_offsets.append(len(self._rmq_values))
 
         if self._partition_meta is not None:
             if fragments is None:
@@ -324,12 +297,6 @@ class _FrozenWriter:
         )
         writer.add_int32("names/offsets", name_offsets)
         writer.add_bytes("names/blob", bytes(name_blob))
-        writer.add_int32("oracle/tour_offsets", self._tour_offsets)
-        writer.add_int32("oracle/euler_nodes", self._euler_nodes)
-        writer.add_int32("oracle/euler_depths", self._euler_depths)
-        writer.add_int32("oracle/first_occurrence", self._first_occurrence)
-        writer.add_int32("oracle/rmq_offsets", self._rmq_offsets)
-        writer.add_int32("oracle/rmq_values", self._rmq_values)
         if self._partition_meta is not None:
             writer.add_int32("partition/fragment_offsets", self._frag_offsets)
             writer.add_int32("partition/member_offsets", self._member_offsets)
@@ -420,14 +387,11 @@ def freeze_service(service, path: str | Path, build: bool = True) -> Dict[str, A
             partition.max_fragment_size,
             None if partition.reclustering is None else partition.reclustering.name,
         )
-    oracle = service.oracle
     for tree in repository.trees():
-        tree_id = tree.tree_id
         writer.add_tree(
             tree,
-            oracle_payload=oracle.oracle(tree_id).to_payload(),
             fragments=(
-                partition.fragments_for(repository, tree_id, oracle)
+                partition.fragments_for(repository, tree.tree_id, service.oracle)
                 if partition is not None
                 else None
             ),
@@ -462,9 +426,10 @@ def freeze_snapshot_file(source: str | Path, destination: str | Path) -> Dict[st
     """Convert a JSON service snapshot into a frozen snapshot, streaming.
 
     The JSON document is parsed once; trees are then materialized, folded and
-    dropped one at a time.  Derived state present in the snapshot (oracles,
-    partition fragments, name indexes) is transcoded directly; missing pieces
-    are built per tree.  Returns the written header document.
+    dropped one at a time.  Derived state present in the snapshot (partition
+    fragments, name indexes) is transcoded directly; missing pieces are built
+    per tree.  An ``oracles`` key written by older builds is ignored.
+    Returns the written header document.
     """
     source_path = Path(source)
     if is_frozen_file(source_path):
@@ -496,10 +461,8 @@ def freeze_snapshot_file(source: str | Path, destination: str | Path) -> Dict[st
         writer.set_partition(
             partition_doc["max_fragment_size"], partition_doc.get("reclustering")
         )
-    oracles = payload.get("oracles", {})
     for tree_id, tree_payload in enumerate(repository_payload.get("trees", [])):
         tree = tree_from_dict(tree_payload)
-        packed_oracle = oracles.get(str(tree_id))
         fragments = None
         if partition_doc is not None:
             fragments = partition_doc["fragments"].get(str(tree_id))
@@ -514,13 +477,7 @@ def freeze_snapshot_file(source: str | Path, destination: str | Path) -> Dict[st
                 fragments = _fragment_single_tree(
                     tree, partition_doc["max_fragment_size"]
                 )
-        writer.add_tree(
-            tree,
-            oracle_payload=(
-                None if packed_oracle is None else _unpack_oracle(packed_oracle)
-            ),
-            fragments=fragments,
-        )
+        writer.add_tree(tree, fragments=fragments)
     entries = payload.get("name_indexes", [])
     for entry in entries:
         blocking = entry.get("blocking")
@@ -565,9 +522,9 @@ def compact_frozen(
     """Merge mutations into a new frozen generation, streaming.
 
     Surviving trees are re-numbered contiguously (the same shift
-    ``remove_tree`` applies in memory); their oracle and partition segments
-    are copied slice-for-slice from the source mapping without decoding —
-    both are tree-local, so removal and renumbering cannot invalidate them.
+    ``remove_tree`` applies in memory); their partition segments are copied
+    slice-for-slice from the source mapping without decoding — fragments are
+    tree-local, so removal and renumbering cannot invalidate them.
     ``add_trees`` are appended at the end, with derived state built on the
     fly.  Name indexes are re-folded from the merged forest (first-occurrence
     numbering, observably equivalent to incremental index maintenance).
@@ -605,12 +562,6 @@ def compact_frozen(
             )
         writer.set_partition(partition_meta["max_fragment_size"], recorded_reclustering)
 
-    tour_offsets = snapshot.int32("oracle/tour_offsets")
-    euler_nodes = snapshot.int32("oracle/euler_nodes")
-    euler_depths = snapshot.int32("oracle/euler_depths")
-    first_occurrence = snapshot.int32("oracle/first_occurrence")
-    rmq_offsets = snapshot.int32("oracle/rmq_offsets")
-    rmq_values = snapshot.int32("oracle/rmq_values")
     if partition_meta is not None:
         frag_offsets = snapshot.int32("partition/fragment_offsets")
         member_offsets = snapshot.int32("partition/member_offsets")
@@ -620,23 +571,13 @@ def compact_frozen(
         if tree_id in removed:
             continue
         tree = repository._materialize_tree(tree_id)  # uncached: one at a time
-        start = tour_offsets[tree_id]
-        end = tour_offsets[tree_id + 1]
-        base = repository.tree_offset(tree_id)
-        node_count = (end - start + 1) // 2
-        oracle_payload = {
-            "euler_nodes": euler_nodes[start:end],
-            "euler_depths": euler_depths[start:end],
-            "first_occurrence": first_occurrence[base : base + node_count],
-            "rmq_flat": rmq_values[rmq_offsets[tree_id] : rmq_offsets[tree_id + 1]],
-        }
         fragments = None
         if partition_meta is not None:
             fragments = [
                 members[member_offsets[fragment] : member_offsets[fragment + 1]]
                 for fragment in range(frag_offsets[tree_id], frag_offsets[tree_id + 1])
             ]
-        writer.add_tree(tree, oracle_payload=oracle_payload, fragments=fragments)
+        writer.add_tree(tree, fragments=fragments)
 
     for tree in add_trees:
         fragments = None

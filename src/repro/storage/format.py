@@ -2,8 +2,8 @@
 
 A frozen snapshot is the binary carrier of the service-snapshot document
 family (next to base64-JSON files): the same logical
-content — forest structure, name tables, Euler tours, sparse-table rows,
-posting lists — stored as fixed-width little-endian arrays that a reader maps
+content — forest structure, name tables, partition fragments, posting
+lists — stored as fixed-width little-endian arrays that a reader maps
 into its address space instead of parsing.  Opening one is O(header), not
 O(repository): the loader validates the preamble and the segment table,
 ``mmap``\\ s the file once, and every array is a zero-copy ``memoryview`` cast
@@ -41,7 +41,9 @@ Mirrors the JSON snapshot's: the loader rejects any ``version`` it was not
 written for (frozen state is pure acceleration — a wrong structural guess
 would silently corrupt match results).  Adding optional header keys or new
 segments is allowed within a version; changing the meaning or layout of an
-existing segment requires a bump.
+existing segment requires a bump.  Version 2 dropped version 1's ``oracle/``
+segments (distance oracles are rebuilt per process instead), which version 1
+readers index unconditionally.
 
 Shared int32 codec
 ------------------
@@ -80,7 +82,7 @@ from repro.utils.fileio import write_bytes_atomic
 FROZEN_MAGIC = b"\x89BFZ\r\n\x1a\n"
 
 FROZEN_FORMAT = "bellflower-frozen-snapshot"
-FROZEN_VERSION = 1
+FROZEN_VERSION = 2
 
 #: magic, container version, header byte length.
 _PREAMBLE = struct.Struct("<8sII")
@@ -224,10 +226,11 @@ class FrozenSnapshot:
     mapping.  Instances are shared freely across threads — views are
     read-only and the small per-snapshot caches are guarded by a lock.
 
-    The ``runtime`` slot caches this process's lazily built repository/oracle
-    pair for the pickle-reopen fast path (see :mod:`repro.storage.frozen`):
-    every worker task that unpickles against the same snapshot reuses one
-    attached object graph instead of re-opening per task.
+    The ``runtime`` slot caches this process's lazily built repository for
+    the pickle-reopen fast path (see :mod:`repro.storage.frozen`): every
+    worker task that unpickles against the same snapshot reuses one attached
+    object graph, and the distance oracles built into it, instead of
+    re-opening per task.
 
     ``identity`` is the ``(resolved path, size, mtime_ns, inode)`` of the file
     that was mapped, taken from the open descriptor — the generation every
@@ -261,8 +264,8 @@ class FrozenSnapshot:
             entry["name"]: entry for entry in self.header["segments"]
         }
         self.lock = threading.Lock()
-        #: (repository, oracle) pair for the per-process pickle-reopen cache.
-        self.runtime: Optional[tuple] = None
+        #: The repository of the per-process pickle-reopen cache.
+        self.runtime: Optional[object] = None
         self._index_cache: Dict[int, object] = {}
 
     # -- validation ----------------------------------------------------------

@@ -13,9 +13,6 @@ name / per gram, on first touch only.
 * :class:`FrozenNameIndex` — a :class:`~repro.matchers.index.RepositoryNameIndex`
   over mapped key/ref/posting tables, with the banded candidate path enabled
   (the posting lists are already on disk, so the sublinear scan is free);
-* :class:`FrozenRepositoryDistanceOracle` — per-tree
-  :class:`~repro.labeling.distance.TreeDistanceOracle` objects re-sliced out of
-  the flat Euler-tour / sparse-table segments;
 * :class:`FrozenPartition` — fragment lists decoded per tree from one CSR pair.
 
 Mutation semantics
@@ -35,10 +32,12 @@ While pristine (repository version 0, no removals) every frozen class reduces
 to a module-level reopen function carrying only the identity of the file
 generation it was loaded from: workers attach to one per-process mapping of
 exactly that generation (:func:`repro.storage.format.reopen_frozen`, which
-refuses a deleted or replaced file) and share one lazily built
-repository/oracle pair per snapshot (``FrozenSnapshot.runtime``), so a pool
-task payload is a few hundred bytes.  After a mutation the thawed plain
-structures pickle by copy exactly as their JSON-loaded counterparts do.
+refuses a deleted or replaced file) and share one lazily built repository
+per snapshot (``FrozenSnapshot.runtime``), so a pool task payload is a few
+hundred bytes.  Distance oracles are not stored in the file: each process
+builds them on first use into that repository's cache, so a worker reuses
+them across every task of the same generation.  After a mutation the thawed
+plain structures pickle by copy exactly as their JSON-loaded counterparts do.
 """
 
 from __future__ import annotations
@@ -46,14 +45,13 @@ from __future__ import annotations
 import json
 import threading
 from bisect import bisect_right
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.errors import (
     ClusteringError,
     ConfigurationError,
     UnknownTreeError,
 )
-from repro.labeling.distance import RepositoryDistanceOracle, TreeDistanceOracle
 from repro.matchers.index import _VERSION_COUNTER, RepositoryNameIndex
 from repro.schema.node import SchemaNode
 from repro.schema.repository import RepositoryNodeRef, SchemaRepository
@@ -106,9 +104,9 @@ class LazyStringTable:
 class _LazyTreeList:
     """List-contract view over the frozen forest, materializing per tree.
 
-    The lock makes materialization single-shot per tree id: callers compare
-    trees by identity (``oracle.tree is repository.tree(tree_id)``), so two
-    racing first touches must not hand out two distinct objects.
+    The lock makes materialization single-shot per tree id: a tree's cached
+    distance oracle holds the tree object, so two racing first touches must
+    not hand out two distinct objects.
     """
 
     __slots__ = ("_repository", "_trees", "_lock")
@@ -202,16 +200,6 @@ _REPOSITORY_VIEW_ATTRS = (
     "_properties_raw",
     "_properties",
     "_frozen_summary",
-)
-
-_ORACLE_VIEW_ATTRS = (
-    "_snapshot",
-    "_tour_offsets",
-    "_euler_nodes",
-    "_euler_depths",
-    "_first_occurrence",
-    "_rmq_offsets",
-    "_rmq_values",
 )
 
 _PARTITION_VIEW_ATTRS = ("_snapshot", "_frag_offsets", "_member_offsets", "_members")
@@ -315,7 +303,7 @@ class FrozenRepository(SchemaRepository):
     def _thaw(self) -> None:
         """Materialize every tree and become a plain ``SchemaRepository``.
 
-        Already-materialized trees are reused (identity matters: installed
+        Already-materialized trees are reused (identity matters: cached
         oracles hold references into the lazy list), the mapped offset array
         is copied into a plain list, and every view attribute is dropped so
         the thawed object pickles by copy like any other repository.
@@ -532,86 +520,6 @@ class FrozenNameIndex(RepositoryNameIndex):
         return (_reopen_frozen_index, (self._snapshot.identity, self._position))
 
 
-class FrozenRepositoryDistanceOracle(RepositoryDistanceOracle):
-    """Per-tree distance oracles re-sliced from frozen tour/sparse segments.
-
-    ``oracle(tree_id)`` decodes the tree's Euler tour, first-occurrence row
-    and sparse-table levels as zero-copy slices (the flat layout mirrors the
-    JSON snapshot's ``_pack_oracle``) while the repository is pristine
-    (version 0); trees added later — possible after a thaw — fall through to
-    the normal lazy build.  Removals shift tree ids, so the mutation path
-    never reaches the frozen decode: the version gate closes first.
-    """
-
-    def __init__(self, snapshot: FrozenSnapshot, repository: FrozenRepository) -> None:
-        super().__init__(repository)
-        self._snapshot = snapshot
-        self._tour_offsets = snapshot.int32("oracle/tour_offsets")
-        self._euler_nodes = snapshot.int32("oracle/euler_nodes")
-        self._euler_depths = snapshot.int32("oracle/euler_depths")
-        self._first_occurrence = snapshot.int32("oracle/first_occurrence")
-        self._rmq_offsets = snapshot.int32("oracle/rmq_offsets")
-        self._rmq_values = snapshot.int32("oracle/rmq_values")
-        self._frozen_tree_count = int(snapshot.header["repository"]["tree_count"])
-        self._frozen_active = True
-
-    def _decode_tree(self, tree_id: int) -> TreeDistanceOracle:
-        start = self._tour_offsets[tree_id]
-        end = self._tour_offsets[tree_id + 1]
-        euler_depths = self._euler_depths[start:end]
-        size = end - start
-        node_count = (size + 1) // 2
-        base = self.repository.tree_offset(tree_id)
-        levels: List[Any] = [range(size)]
-        position = self._rmq_offsets[tree_id]
-        level = 1
-        while (1 << level) <= size:
-            width = size - (1 << level) + 1
-            levels.append(self._rmq_values[position : position + width])
-            position += width
-            level += 1
-        payload = {
-            "euler_nodes": self._euler_nodes[start:end],
-            "euler_depths": euler_depths,
-            "first_occurrence": self._first_occurrence[base : base + node_count],
-            "rmq_levels": levels,
-        }
-        return TreeDistanceOracle.from_payload(self.repository.tree(tree_id), payload)
-
-    def oracle(self, tree_id: int) -> TreeDistanceOracle:
-        cached = self._oracles.get(tree_id)
-        if cached is not None:
-            return cached
-        if (
-            self._frozen_active
-            and getattr(self.repository, "version", None) == 0
-            and 0 <= tree_id < self._frozen_tree_count
-        ):
-            with self._build_lock:
-                cached = self._oracles.get(tree_id)
-                if cached is None:
-                    cached = self._decode_tree(tree_id)
-                    self._oracles[tree_id] = cached
-            return cached
-        return super().oracle(tree_id)
-
-    # -- pickling (process executors) ----------------------------------------
-
-    def __getstate__(self) -> dict:
-        state = super().__getstate__()
-        for attr in _ORACLE_VIEW_ATTRS:
-            state.pop(attr, None)
-        state["_frozen_active"] = False
-        return state
-
-    def __reduce_ex__(self, protocol):
-        # The frozen reopen while the repository is pristine, else the plain
-        # copy path (view attrs stripped by __getstate__ above).
-        if self._frozen_active and getattr(self.repository, "version", 0) == 0:
-            return (_reopen_frozen_oracle, (self._snapshot.identity,))
-        return super().__reduce_ex__(protocol)
-
-
 class FrozenPartition(RepositoryPartition):
     """A repository partition whose fragment lists live in frozen CSR segments.
 
@@ -695,16 +603,15 @@ class FrozenPartition(RepositoryPartition):
 # -- worker reopen fast path ---------------------------------------------------
 
 
-def _frozen_runtime(
-    snapshot: FrozenSnapshot,
-) -> Tuple[FrozenRepository, FrozenRepositoryDistanceOracle]:
-    """One lazily built (repository, oracle) pair per snapshot per process.
+def _frozen_runtime(snapshot: FrozenSnapshot) -> FrozenRepository:
+    """One lazily built repository per snapshot per process.
 
     Every unpickled task against the same frozen file shares one attached
     object graph — including the frozen name indexes, which are installed into
-    the repository's cache so a worker-side query never rescans names.  A
-    runtime whose repository has been thawed or mutated (possible only if user
-    code mutates an unpickled service) is discarded and rebuilt pristine.
+    the repository's cache so a worker-side query never rescans names, and the
+    distance oracles the worker builds into it.  A runtime repository that has
+    been thawed or mutated (possible only if user code mutates an unpickled
+    service) is discarded and rebuilt pristine.
     """
     positions = range(len(snapshot.header.get("indexes", [])))
     # Resolve the index singletons *before* taking the runtime lock —
@@ -715,25 +622,15 @@ def _frozen_runtime(
     ]
     with snapshot.lock:
         runtime = snapshot.runtime
-        if (
-            runtime is None
-            or type(runtime[0]) is not FrozenRepository
-            or runtime[0].version != 0
-        ):
-            repository = FrozenRepository(snapshot)
+        if type(runtime) is not FrozenRepository or runtime.version != 0:
+            runtime = snapshot.runtime = FrozenRepository(snapshot)
             for index in indexes:
-                repository.install_name_index(index)
-            oracle = FrozenRepositoryDistanceOracle(snapshot, repository)
-            runtime = snapshot.runtime = (repository, oracle)
+                runtime.install_name_index(index)
     return runtime
 
 
 def _reopen_frozen_repository(identity: Identity) -> FrozenRepository:
-    return _frozen_runtime(reopen_frozen(identity))[0]
-
-
-def _reopen_frozen_oracle(identity: Identity) -> FrozenRepositoryDistanceOracle:
-    return _frozen_runtime(reopen_frozen(identity))[1]
+    return _frozen_runtime(reopen_frozen(identity))
 
 
 def _reopen_frozen_index(identity: Identity, position: int) -> FrozenNameIndex:
@@ -763,8 +660,9 @@ def load_frozen_service(
 ):
     """A ready :class:`~repro.service.MatchingService` over a frozen snapshot.
 
-    O(header) regardless of repository size: the repository, name indexes,
-    distance oracle and partition are all frozen views.  The keyword overrides
+    O(header) regardless of repository size: the repository, name indexes
+    and partition are all frozen views; distance oracles build per tree on
+    first use.  The keyword overrides
     mirror :func:`repro.service.snapshot.load_snapshot` exactly — which also
     dispatches here when handed a frozen file, so callers never need to know
     which carrier a snapshot uses.
@@ -821,10 +719,6 @@ def load_frozen_service(
         ),
         **kwargs,
     )
-    # The pipeline builds a plain lazy oracle in its constructor; swap in the
-    # frozen one before anything queries it (Bellflower reads ``self.oracle``
-    # at call time only).
-    service._system.oracle = FrozenRepositoryDistanceOracle(snapshot, repository)
     for position in range(len(header.get("indexes", []))):
         repository.install_name_index(FrozenNameIndex(snapshot, position))
     return service

@@ -1,5 +1,7 @@
 """Tests for the Euler-tour / sparse-table distance oracles."""
 
+import threading
+
 import pytest
 
 from repro.errors import LabelingError, UnknownNodeError
@@ -76,3 +78,40 @@ def test_repository_oracle_lca_returns_ref(small_repository):
     assert lca is not None
     assert lca.tree_id == 0
     assert small_repository.node(lca).name == "book"
+
+
+def test_facades_over_one_repository_share_its_oracles(small_repository):
+    first = RepositoryDistanceOracle(small_repository)
+    second = RepositoryDistanceOracle(small_repository)
+    assert first.oracle(2) is second.oracle(2)
+    assert second.built_oracle_count == 1
+
+
+def test_repository_mutations_keep_oracles_keyed_by_tree_id(small_repository):
+    oracle = RepositoryDistanceOracle(small_repository)
+    oracle.build_all()
+    contact, order = oracle.oracle(1), oracle.oracle(2)
+    removed = small_repository.remove_tree(0)
+    assert oracle.built_oracle_count == 2
+    assert oracle.oracle(0) is contact and oracle.oracle(1) is order
+    assert oracle.oracle(1).tree is small_repository.tree(1)
+    small_repository.add_tree(removed)
+    assert oracle.built_oracle_count == 2  # the re-added tree builds on first use
+    assert oracle.oracle(2).tree is removed
+
+
+def test_racing_first_builds_publish_one_oracle(small_repository):
+    oracle = RepositoryDistanceOracle(small_repository)
+    barrier = threading.Barrier(4)
+    seen = []
+
+    def build():
+        barrier.wait()
+        seen.append(oracle.oracle(0))
+
+    threads = [threading.Thread(target=build) for _ in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(seen) == 4 and all(built is seen[0] for built in seen)

@@ -18,10 +18,11 @@ from repro.schema.builder import TreeBuilder
 from repro.schema.repository import SchemaRepository
 from repro.schema.serialization import tree_from_dict, tree_to_dict
 from repro.service import MatchingService, RepositoryPartition
+from repro.system.bellflower import Bellflower
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 from repro.workload.personal import contact_personal_schema, paper_personal_schema
 
-from _equivalence import candidates_key, cluster_key, result_key
+from _equivalence import candidates_key, cluster_key, counters_key, path_records_key, result_key
 
 NAME_POOL = [
     "name", "fullName", "author", "authorName", "address", "addr", "email",
@@ -174,6 +175,38 @@ class TestServiceIncrementalEquivalence:
         assert service.query_cache_len == 0
         assert service.counters.get("trees_added") == 1
         assert service.counters.get("trees_removed") == 1
+
+
+class TestDirectRepositoryRemoval:
+    """``SchemaRepository.remove_tree`` called behind a pipeline's back.
+
+    The repository owns the per-tree distance oracles and re-keys them on
+    removal, so a pipeline built before the removal answers exactly like one
+    built over a copy of the mutated forest.  (The default repository profile
+    is large enough that stale oracle rows would raise on a shifted tree.)
+    """
+
+    @staticmethod
+    def full_key(result):
+        return (result_key(result), path_records_key(result), counters_key(result))
+
+    def test_bellflower_answers_like_a_fresh_one(self):
+        repository = RepositoryGenerator(RepositoryProfile()).generate()
+        system = Bellflower(repository)
+        schema = contact_personal_schema()
+        system.match(schema)
+        repository.remove_tree(0)
+        fresh = Bellflower(clone_forest(repository))
+        assert self.full_key(system.match(schema)) == self.full_key(fresh.match(schema))
+
+    def test_service_answers_like_a_fresh_one(self):
+        repository = RepositoryGenerator(RepositoryProfile()).generate()
+        service = MatchingService(repository, variant="tree")
+        schema = contact_personal_schema()
+        service.match(schema)
+        repository.remove_tree(0)
+        fresh = MatchingService(clone_forest(repository), variant="tree")
+        assert self.full_key(service.match(schema)) == self.full_key(fresh.match(schema))
 
 
 class TestExplicitPartitionClusterer:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -70,6 +71,14 @@ def contact_tree(name="added"):
     builder.child(root, "email", datatype="string")
     builder.child(root, "address")
     return builder.build()
+
+
+def count_then_build(oracle):
+    """Worker task: how many tree oracles this process already holds for the
+    oracle's repository, before building tree 0's."""
+    before = oracle.built_oracle_count
+    oracle.oracle(0)
+    return before
 
 
 def warmed_pool(workers=2):
@@ -278,19 +287,57 @@ class TestFrozenPayloads:
 
     def test_frozen_pickles_are_an_identity_not_a_copy(self, frozen_pair):
         plain, frozen, _ = frozen_pair
-        assert len(pickle.dumps(frozen.oracle)) < 256 < len(pickle.dumps(plain.oracle))
+        assert len(pickle.dumps(frozen.repository)) < 256 < len(pickle.dumps(plain.repository))
         assert len(pickle.dumps(frozen.partition)) < 256 < len(pickle.dumps(plain.partition))
         assert len(pickle.dumps(frozen)) < 2048 < len(pickle.dumps(plain))
+        # The oracle facade is stateless: its repository plus a class reference.
+        for service in (plain, frozen):
+            service.oracle.build_all()
+            oracle_bytes = len(pickle.dumps(service.oracle))
+            assert oracle_bytes - len(pickle.dumps(service.repository)) < 128
 
     def test_reopened_oracle_answers_like_the_original(self, frozen_pair):
         plain, frozen, _ = frozen_pair
         reopened = pickle.loads(pickle.dumps(frozen.oracle))
+        assert reopened.repository is pickle.loads(pickle.dumps(frozen.repository))
+        assert reopened.built_oracle_count == 0
         repository = plain.repository
-        for tree_id in (0, repository.tree_count - 1):
+        for tree_id in range(repository.tree_count):
             tree = repository.tree(tree_id)
             first = repository.ref(tree_id, 0)
             last = repository.ref(tree_id, tree.node_count - 1)
             assert reopened.distance(first, last) == plain.oracle.distance(first, last)
+            assert reopened.path_edge_ids(first, last) == plain.oracle.path_edge_ids(first, last)
+        assert reopened.built_oracle_count == repository.tree_count
+
+    def test_unpickled_services_share_one_oracle_per_tree(self, frozen_pair):
+        _, frozen, _ = frozen_pair
+        first = pickle.loads(pickle.dumps(frozen))
+        first.match(paper_personal_schema())
+        built = first.oracle.built_oracle_count
+        assert built > 0
+        second = pickle.loads(pickle.dumps(frozen))
+        assert second.oracle.built_oracle_count == built
+        for tree_id in range(first.repository.tree_count):
+            assert second.oracle.oracle(tree_id) is first.oracle.oracle(tree_id)
+
+    def test_a_worker_reuses_its_oracles_across_tasks(self, frozen_pair):
+        _, frozen, _ = frozen_pair
+        with ProcessPoolExecutor(max_workers=1) as pool:
+            counts = [pool.submit(count_then_build, frozen.oracle).result() for _ in range(2)]
+        assert counts == [0, 1]
+
+    def test_in_memory_pickles_carry_no_oracle_rows(self, frozen_pair):
+        plain, _, _ = frozen_pair
+        assert plain.oracle.built_oracle_count == plain.repository.tree_count
+        payload = pickle.dumps(plain.oracle)
+        assert b"TreeDistanceOracle" not in payload
+        clone = pickle.loads(payload)
+        assert clone.built_oracle_count == 0
+        repository = plain.repository
+        first, last = repository.ref(0, 0), repository.ref(0, repository.tree(0).node_count - 1)
+        assert clone.distance(first, last) == plain.oracle.distance(first, last)
+        assert clone.built_oracle_count == 1
 
     def test_reopen_reuses_the_process_mapping(self, frozen_pair):
         _, frozen, path = frozen_pair

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.clustering.reclustering import join_and_remove
 from repro.errors import ClusteringError, ReproError
 from repro.labeling.distance import TreeDistanceOracle
-from repro.labeling.sparse_table import SparseTable
 from repro.matchers.name import FuzzyNameMatcher, NGramNameMatcher, TokenNameMatcher
 from repro.service import (
     MatchingService,
@@ -27,6 +26,8 @@ from repro.service import (
     snapshot_to_service,
     write_snapshot,
 )
+from repro.service.snapshot import _pack_ints
+from repro.storage import freeze_snapshot_file
 from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 from repro.workload.personal import (
     book_personal_schema,
@@ -34,7 +35,7 @@ from repro.workload.personal import (
     paper_personal_schema,
 )
 
-from _equivalence import candidates_key, result_key
+from _equivalence import candidates_key, counters_key, path_records_key, result_key
 
 
 def make_repository(seed: int, nodes: int = 450):
@@ -42,6 +43,21 @@ def make_repository(seed: int, nodes: int = 450):
         target_node_count=nodes, min_tree_size=10, max_tree_size=45, seed=seed, name=f"snap-{seed}"
     )
     return RepositoryGenerator(profile).generate()
+
+
+def legacy_oracles(repository):
+    """The ``oracles`` key older builds wrote: packed per-tree Euler tours
+    and sparse-table rows (levels from 1 up, flattened)."""
+    entries = {}
+    for tree in repository.trees():
+        oracle = TreeDistanceOracle(tree)
+        entries[str(tree.tree_id)] = {
+            "euler_nodes": _pack_ints(oracle._euler_nodes),
+            "euler_depths": _pack_ints(oracle._euler_depths),
+            "first_occurrence": _pack_ints(oracle._first_occurrence),
+            "rmq": _pack_ints([index for level in oracle._rmq._table[1:] for index in level]),
+        }
+    return entries
 
 
 class TestSnapshotRoundTrip:
@@ -65,7 +81,7 @@ class TestSnapshotRoundTrip:
         reread = json.loads(path.read_text(encoding="utf-8"))
         assert reread == payload
         repository = service.repository
-        assert len(payload["oracles"]) == repository.tree_count
+        assert "oracles" not in payload  # rebuilt per process, never persisted
         assert payload["partition"] is not None
         assert len(payload["partition"]["fragments"]) == repository.tree_count
         assert len(payload["name_indexes"]) == 1
@@ -76,29 +92,44 @@ class TestSnapshotRoundTrip:
         assert entry["blocking"] is not None  # warm-up built the trigram structures
 
     def test_loaded_service_needs_no_rebuild(self, tmp_path):
-        """Every oracle/partition row must be present post-load, not lazily rebuilt."""
+        """Every partition row must be present post-load, not lazily rebuilt."""
         service = MatchingService(make_repository(5), element_threshold=0.5)
         path = tmp_path / "snapshot.json"
         write_snapshot(service, path)
         loaded = load_snapshot(path)
-        assert loaded.oracle.built_oracle_count == loaded.repository.tree_count
         assert loaded.partition.built_tree_count == loaded.repository.tree_count
         assert loaded.repository.cached_name_indexes()  # index installed, not lazy
 
-    def test_oracle_round_trip_is_exact(self, tmp_path):
+    def test_oracles_build_on_first_use_after_load(self, tmp_path):
         repository = make_repository(9)
         service = MatchingService(repository, element_threshold=0.5)
         path = tmp_path / "snapshot.json"
         write_snapshot(service, path)
         loaded = load_snapshot(path)
-        for tree in repository.trees():
-            fresh = TreeDistanceOracle(tree)
-            restored = loaded.oracle.oracle(tree.tree_id)
-            ids = list(tree.node_ids())
-            for first in ids[:: max(1, len(ids) // 7)]:
-                for second in ids[:: max(1, len(ids) // 7)]:
-                    assert restored.distance(first, second) == fresh.distance(first, second)
-                    assert restored.lca(first, second) == fresh.lca(first, second)
+        assert loaded.oracle.built_oracle_count == 0
+        schema = contact_personal_schema()
+        assert result_key(loaded.match(schema)) == result_key(service.match(schema))
+        assert 0 < loaded.oracle.built_oracle_count <= repository.tree_count
+
+    def test_legacy_oracles_key_is_ignored(self, tmp_path):
+        """A version 1 document from an older build still carries ``oracles``."""
+        repository = make_repository(9)
+        service = MatchingService(repository, element_threshold=0.5)
+        payload = service_to_snapshot_dict(service)
+        payload["oracles"] = legacy_oracles(repository)
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        loaded = load_snapshot(path)
+        assert loaded.oracle.built_oracle_count == 0
+        freeze_snapshot_file(path, tmp_path / "legacy.frozen")
+        frozen = load_snapshot(tmp_path / "legacy.frozen")
+        for schema in (paper_personal_schema(), contact_personal_schema(), book_personal_schema()):
+            expected = service.match(schema)
+            for restored in (loaded.match(schema), frozen.match(schema)):
+                assert candidates_key(restored.candidates) == candidates_key(expected.candidates)
+                assert result_key(restored) == result_key(expected)
+                assert path_records_key(restored) == path_records_key(expected)
+                assert counters_key(restored) == counters_key(expected)
 
     @pytest.mark.parametrize(
         "matcher",
@@ -177,14 +208,3 @@ class TestSnapshotValidation:
             partition_payload, reclustering=join_and_remove()
         )
         assert restored.max_fragment_size == 10
-
-
-class TestSparseTableRebuild:
-    @settings(max_examples=25, deadline=None)
-    @given(values=st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=60))
-    def test_from_built_answers_like_the_original(self, values):
-        original = SparseTable(values)
-        rebuilt = SparseTable.from_built(values, original.levels())
-        for low in range(0, len(values), max(1, len(values) // 8)):
-            for high in range(low, len(values), max(1, len(values) // 8)):
-                assert rebuilt.argmin(low, high) == original.argmin(low, high)

@@ -17,10 +17,12 @@ from pathlib import Path
 import pytest
 
 from repro.errors import ReproError
+from repro.service import MatchingService, load_snapshot
 from repro.storage import (
     FROZEN_FORMAT,
     FROZEN_MAGIC,
     FROZEN_VERSION,
+    freeze_service,
     is_frozen_file,
     is_frozen_prefix,
     open_frozen,
@@ -29,6 +31,7 @@ from repro.storage import (
 )
 from repro.storage.format import SegmentWriter, int32_view
 from repro.utils.fileio import write_bytes_atomic
+from repro.workload.generator import RepositoryGenerator, RepositoryProfile
 
 #: magic, uint32 container version, uint32 header length (little-endian).
 PREAMBLE = struct.Struct("<8sII")
@@ -256,6 +259,40 @@ class TestOpenValidation:
         rewrite_header(target, raw_header=b"[1, 2, 3]")
         with pytest.raises(ReproError, match="not a frozen service snapshot"):
             open_frozen(target, cached=False)
+
+
+class TestVersion2:
+    """Version 2 stores no distance oracles, so version 1 files are refused."""
+
+    @pytest.fixture()
+    def frozen_path(self, tmp_path):
+        profile = RepositoryProfile(
+            target_node_count=200, min_tree_size=10, max_tree_size=40, seed=5, name="v2"
+        )
+        service = MatchingService(RepositoryGenerator(profile).generate(), element_threshold=0.5)
+        freeze_service(service, tmp_path / "v2.frozen")
+        return tmp_path / "v2.frozen"
+
+    def test_headers_list_no_oracle_segment(self, frozen_path):
+        header = open_frozen(frozen_path, cached=False).header
+        assert FROZEN_VERSION == 2 == header["version"]
+        names = [entry["name"] for entry in header["segments"]]
+        assert any(name.startswith("forest/") for name in names)
+        assert not [name for name in names if name.startswith("oracle/")]
+
+    def test_version_1_file_is_refused_naming_the_version(self, frozen_path):
+        image = bytearray(frozen_path.read_bytes())
+        struct.pack_into("<I", image, 8, 1)
+        frozen_path.write_bytes(bytes(image))
+
+        def mutate(header):
+            header["version"] = 1
+
+        rewrite_header(frozen_path, mutate)
+        with pytest.raises(ReproError, match="version 1 "):
+            open_frozen(frozen_path, cached=False)
+        with pytest.raises(ReproError, match="version 1 "):
+            load_snapshot(frozen_path)
 
 
 class TestOpenCache:

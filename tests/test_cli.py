@@ -133,6 +133,27 @@ class TestSnapshotQueryCommands:
         output = capsys.readouterr().out
         assert "useful clusters" in output
 
+    def test_snapshot_and_inspect_list_no_oracles(self, tmp_path, repository_file, capsys):
+        snapshot_path = tmp_path / "repo.snapshot.json"
+        assert main(["snapshot", "--repository", str(repository_file), "--out", str(snapshot_path)]) == 0
+        written = capsys.readouterr().out
+        assert "wrote snapshot of" in written and "1 name indexes" in written
+        assert "oracle" not in written
+        assert "oracles" not in json.loads(snapshot_path.read_text(encoding="utf-8"))
+
+        assert main(["snapshot", "inspect", "--snapshot", str(snapshot_path)]) == 0
+        inspected = capsys.readouterr().out
+        assert "JSON snapshot" in inspected and "indexes: 1" in inspected
+        assert "oracle" not in inspected
+
+        frozen_path = tmp_path / "repo.frozen"
+        assert main(["snapshot", "freeze", "--snapshot", str(snapshot_path), "--out", str(frozen_path)]) == 0
+        capsys.readouterr()
+        assert main(["snapshot", "inspect", "--snapshot", str(frozen_path)]) == 0
+        inspected = capsys.readouterr().out
+        assert " v2" in inspected and "forest/parents" in inspected
+        assert "oracle" not in inspected
+
 
 def _serve(service, lines, top=5, top_k=None):
     """Run the serve loop over literal request lines; return parsed responses."""
