@@ -46,14 +46,14 @@ def test_damerau_levenshtein_long_names(benchmark):
 
 
 def test_distance_oracle_construction(benchmark, bench_workload):
-    """Euler-tour + sparse-table preprocessing of the largest repository tree."""
+    """Ancestor-mask table of the largest repository tree (one forward pass)."""
     largest = max(bench_workload.repository.trees(), key=lambda tree: tree.node_count)
     oracle = benchmark(TreeDistanceOracle, largest)
     assert oracle.distance(0, largest.node_count - 1) >= 0
 
 
 def test_distance_oracle_queries(benchmark, bench_workload):
-    """A batch of O(1) path-length queries on a preprocessed tree."""
+    """A batch of path-length queries: an xor of two masks and a popcount each."""
     largest = max(bench_workload.repository.trees(), key=lambda tree: tree.node_count)
     oracle = TreeDistanceOracle(largest)
     pairs = [(i, (i * 7 + 3) % largest.node_count) for i in range(0, largest.node_count, 2)]
@@ -75,6 +75,35 @@ def test_naive_distance_queries_for_comparison(benchmark, bench_workload):
 
     total = benchmark(run_queries)
     assert total >= 0
+
+
+def test_path_mask_queries(benchmark, bench_workload):
+    """The |Et| primitive: path-edge masks between node pairs, unioned with ``|``."""
+    largest = max(bench_workload.repository.trees(), key=lambda tree: tree.node_count)
+    oracle = TreeDistanceOracle(largest)
+    pairs = [(i, (i * 7 + 3) % largest.node_count) for i in range(0, largest.node_count, 2)]
+
+    def run_queries():
+        union = 0
+        for a, b in pairs:
+            union |= oracle.path_mask(a, b)
+        return union.bit_count()
+
+    assert benchmark(run_queries) <= largest.edge_count
+
+
+def test_naive_path_edges_for_comparison(benchmark, bench_workload):
+    """The same unions built from root-path-walking edge sets (what the masks replace)."""
+    largest = max(bench_workload.repository.trees(), key=lambda tree: tree.node_count)
+    pairs = [(i, (i * 7 + 3) % largest.node_count) for i in range(0, largest.node_count, 2)]
+
+    def run_queries():
+        union: set = set()
+        for a, b in pairs:
+            union |= largest.path_edge_ids(a, b)
+        return len(union)
+
+    assert benchmark(run_queries) <= largest.edge_count
 
 
 def test_element_matching_stage(benchmark, bench_workload, bench_config):

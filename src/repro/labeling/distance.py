@@ -1,8 +1,10 @@
-"""Constant-time tree distance (path length) oracles.
+"""Constant-time tree distance (path length) oracles from ancestor bitmasks.
 
-``TreeDistanceOracle`` preprocesses one tree with an Euler tour and a sparse
-table over the tour's depth sequence; lowest-common-ancestor queries then take
-two array lookups, and ``distance(u, v) = depth(u) + depth(v) - 2 * depth(lca)``.
+``TreeDistanceOracle`` labels every node ``x`` of one tree with a Python int
+``A[x]`` whose bit ``c`` is set for every edge on ``x``'s root path, an edge
+being identified by its child node id.  Shared ancestors cancel under xor, so
+the edges of the path between ``u`` and ``v`` are ``A[u] ^ A[v]``, a union of
+paths is ``|`` and a path length is ``int.bit_count()``.
 
 ``RepositoryDistanceOracle`` answers distance queries between arbitrary
 repository nodes through the repository's lazily built per-tree oracles,
@@ -17,93 +19,46 @@ of path lengths".
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional
 
 from repro.errors import LabelingError, UnknownNodeError
-from repro.labeling.sparse_table import SparseTable
 from repro.schema.repository import RepositoryNodeRef, SchemaRepository
 from repro.schema.tree import SchemaTree
 
 
 class TreeDistanceOracle:
-    """O(1) LCA / path-length queries for a single schema tree."""
+    """O(1) path-length and path-edge queries for a single schema tree.
+
+    Holds only the ancestor masks and the tree's name, never the tree itself.
+    """
+
+    __slots__ = ("_masks", "_tree_name")
 
     def __init__(self, tree: SchemaTree) -> None:
         if tree.node_count == 0:
             raise LabelingError(f"cannot build a distance oracle over empty tree {tree.name!r}")
-        self.tree = tree
-        self._euler_nodes: List[int] = []
-        self._euler_depths: List[int] = []
-        self._first_occurrence: List[int] = [-1] * tree.node_count
-        self._build_euler_tour()
-        self._rmq = SparseTable(self._euler_depths)
+        self._tree_name = tree.name
+        # Every parent id precedes its child (a SchemaTree invariant), so one
+        # forward pass sees each parent's mask before its children need it.
+        # The root is node 0 and has no parent edge: its mask stays 0.
+        masks: List[int] = [0] * tree.node_count
+        parent_id = tree.parent_id
+        for node_id in range(1, tree.node_count):
+            masks[node_id] = masks[parent_id(node_id)] | (1 << node_id)  # type: ignore[index]
+        self._masks = masks
 
-    def _build_euler_tour(self) -> None:
-        # Iterative Euler tour: every time a node is entered or returned to
-        # after a child, it is appended to the tour.  Depths are carried on the
-        # stack so the tour never re-queries the tree per entry (a tour has
-        # 2n - 1 entries, and each depth lookup used to cost a bounds-checked
-        # method call).
-        tree = self.tree
-        stack: List[Tuple[int, int, int]] = [(tree.root_id, 0, 0)]
-        children_cache: Dict[int, List[int]] = {}
-        while stack:
-            node_id, child_index, depth = stack.pop()
-            if child_index == 0:
-                if self._first_occurrence[node_id] == -1:
-                    self._first_occurrence[node_id] = len(self._euler_nodes)
-            self._euler_nodes.append(node_id)
-            self._euler_depths.append(depth)
-            children = children_cache.get(node_id)
-            if children is None:
-                children = children_cache[node_id] = tree.children_ids(node_id)
-            if child_index < len(children):
-                stack.append((node_id, child_index + 1, depth))
-                stack.append((children[child_index], 0, depth + 1))
-
-    # -- queries -------------------------------------------------------------
-
-    def lca(self, first_id: int, second_id: int) -> int:
-        """Lowest common ancestor of two nodes."""
-        for node_id in (first_id, second_id):
-            if not self.tree.has_node(node_id):
-                raise UnknownNodeError(node_id, context=f"distance oracle of tree {self.tree.name!r}")
-        low = self._first_occurrence[first_id]
-        high = self._first_occurrence[second_id]
-        index = self._rmq.argmin(low, high)
-        return self._euler_nodes[index]
-
-    def depth(self, node_id: int) -> int:
-        return self.tree.depth(node_id)
+    def path_mask(self, first_id: int, second_id: int) -> int:
+        """Edges of the path between two nodes as a bitmask over child node ids."""
+        masks = self._masks
+        # Explicit bounds: a plain list would silently wrap a negative id.
+        if 0 <= first_id < len(masks) and 0 <= second_id < len(masks):
+            return masks[first_id] ^ masks[second_id]
+        unknown = first_id if not 0 <= first_id < len(masks) else second_id
+        raise UnknownNodeError(unknown, context=f"distance oracle of tree {self._tree_name!r}")
 
     def distance(self, first_id: int, second_id: int) -> int:
         """Path length (number of edges) between two nodes."""
-        if first_id == second_id:
-            if not self.tree.has_node(first_id):
-                raise UnknownNodeError(first_id, context=f"distance oracle of tree {self.tree.name!r}")
-            return 0
-        lca = self.lca(first_id, second_id)
-        return self.tree.depth(first_id) + self.tree.depth(second_id) - 2 * self.tree.depth(lca)
-
-    def path_edge_ids(self, first_id: int, second_id: int) -> Set[int]:
-        """Edges of the path between two nodes, identified by child node id.
-
-        Uses the LCA to walk both root paths, avoiding a full path search.  The
-        result feeds the union that determines ``|Et|`` of a mapping subtree.
-        """
-        lca = self.lca(first_id, second_id)
-        edges: Set[int] = set()
-        for start in (first_id, second_id):
-            current = start
-            while current != lca:
-                edges.add(current)
-                parent = self.tree.parent_id(current)
-                if parent is None:  # pragma: no cover - LCA guarantees termination
-                    raise LabelingError(
-                        f"walked past the root from node {start} towards LCA {lca} in tree {self.tree.name!r}"
-                    )
-                current = parent
-        return edges
+        return self.path_mask(first_id, second_id).bit_count()
 
 
 class RepositoryDistanceOracle:
@@ -147,15 +102,8 @@ class RepositoryDistanceOracle:
             return None
         return self.oracle(first.tree_id).distance(first.node_id, second.node_id)
 
-    def lca(self, first: RepositoryNodeRef, second: RepositoryNodeRef) -> Optional[RepositoryNodeRef]:
-        """LCA of two repository nodes as a node ref, ``None`` across trees."""
+    def path_mask(self, first: RepositoryNodeRef, second: RepositoryNodeRef) -> Optional[int]:
+        """Path edges (a bitmask over child node ids) between two nodes, ``None`` across trees."""
         if first.tree_id != second.tree_id:
             return None
-        lca_node = self.oracle(first.tree_id).lca(first.node_id, second.node_id)
-        return self.repository.ref(first.tree_id, lca_node)
-
-    def path_edge_ids(self, first: RepositoryNodeRef, second: RepositoryNodeRef) -> Optional[Set[int]]:
-        """Path edge set (child node ids) between two nodes of the same tree."""
-        if first.tree_id != second.tree_id:
-            return None
-        return self.oracle(first.tree_id).path_edge_ids(first.node_id, second.node_id)
+        return self.oracle(first.tree_id).path_mask(first.node_id, second.node_id)

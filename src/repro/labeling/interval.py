@@ -3,8 +3,9 @@
 Every node receives an interval ``[start, end]`` such that node ``a`` is an
 ancestor of (or equal to) node ``b`` exactly when ``a``'s interval contains
 ``b``'s.  This is the simplest of the labeling schemes surveyed by Kaplan and
-Milo and is used by the structural matcher and as a cross-check for the
-Euler-tour distance oracle.
+Milo.  Nothing in the library calls it at runtime: it is kept as an
+independent reference that the tests check the ancestor-mask distance oracle
+against.
 """
 
 from __future__ import annotations

@@ -23,6 +23,12 @@ machinery once:
   :class:`BestFirstPolicy` (A*) and :class:`BeamPolicy` (beam search) — which
   are now thin orderings over the shared expansion step.
 
+Every state carries the edges of its partial mapping subtree as one immutable
+int (:meth:`MappingProblem.path_edges <repro.mapping.model.MappingProblem.path_edges>`
+masks, see :mod:`repro.labeling.distance`): a child state ORs its new paths
+into the parent's mask and the bound reads ``|Et|`` as ``mask.bit_count()``,
+so backtracking undoes no edges and heap or beam entries copy no edge set.
+
 Exactness
 ---------
 Cross-cluster pruning never changes the reported top-``k``: the bound is
@@ -360,6 +366,9 @@ class SearchPolicy:
 class DepthFirstPolicy(SearchPolicy):
     """Depth-first Branch-and-Bound: mutable assignment with undo, LIFO order.
 
+    The path-edge mask travels down the recursion as an argument, so only the
+    assignment and the used-node set need undoing.
+
     With ``use_bounding=False`` the policy degenerates into the depth-first
     exhaustive enumeration (no bound evaluations, no pruning), which the
     ablation benchmark uses to quantify what the bounding function saves.
@@ -376,9 +385,8 @@ class DepthFirstPolicy(SearchPolicy):
         groups = context.groups
         assignment: Dict[int, MappingElement] = {}
         used_globals: set = set()
-        path_edges: set = set()
 
-        def recurse(level: int, assigned_similarity: float) -> None:
+        def recurse(level: int, assigned_similarity: float, path_edges: int) -> None:
             if level == len(order):
                 context.accept(assignment, result)
                 return
@@ -391,29 +399,28 @@ class DepthFirstPolicy(SearchPolicy):
                     return
                 if problem.require_injective and element.ref.global_id in used_globals:
                     continue
-                added_edges = incremental_path_edges(problem, assignment, node_id, element)
-                new_edges = added_edges - path_edges
+                child_edges = path_edges | incremental_path_edges(
+                    problem, assignment, node_id, element
+                )
 
                 assignment[node_id] = element
                 used_globals.add(element.ref.global_id)
-                path_edges.update(new_edges)
                 child_similarity = assigned_similarity + element.similarity
                 result.counters.increment("partial_mappings")
 
                 expand = True
                 if self.use_bounding:
                     bound = context.bound(
-                        assignment, child_similarity, level + 1, len(path_edges), result
+                        assignment, child_similarity, level + 1, child_edges.bit_count(), result
                     )
                     expand = context.admit(bound, result)
                 if expand:
-                    recurse(level + 1, child_similarity)
+                    recurse(level + 1, child_similarity, child_edges)
 
                 del assignment[node_id]
                 used_globals.discard(element.ref.global_id)
-                path_edges.difference_update(new_edges)
 
-        recurse(0, 0.0)
+        recurse(0, 0.0, 0)
 
 
 class BestFirstPolicy(SearchPolicy):
@@ -440,11 +447,9 @@ class BestFirstPolicy(SearchPolicy):
         order = context.order
         groups = context.groups
         tie_breaker = itertools.count()
-        # Heap entries: (-bound, tie, level, assignment, similarity sum, used ids, path edges)
-        heap: List[
-            Tuple[float, int, int, Dict[int, MappingElement], float, FrozenSet[int], FrozenSet[int]]
-        ] = []
-        heapq.heappush(heap, (-1.0, next(tie_breaker), 0, {}, 0.0, frozenset(), frozenset()))
+        # Heap entries: (-bound, tie, level, assignment, similarity sum, used ids, path edge mask)
+        heap: List[Tuple[float, int, int, Dict[int, MappingElement], float, FrozenSet[int], int]] = []
+        heapq.heappush(heap, (-1.0, next(tie_breaker), 0, {}, 0.0, frozenset(), 0))
         expansions = 0
 
         while heap:
@@ -472,14 +477,13 @@ class BestFirstPolicy(SearchPolicy):
             for element in groups[node_id]:
                 if problem.require_injective and element.ref.global_id in used_globals:
                     continue
-                added = incremental_path_edges(problem, assignment, node_id, element)
-                new_edges = path_edges | frozenset(added)
+                new_edges = path_edges | incremental_path_edges(problem, assignment, node_id, element)
                 new_assignment = dict(assignment)
                 new_assignment[node_id] = element
                 child_similarity = assigned_similarity + element.similarity
                 result.counters.increment("partial_mappings")
                 bound = context.bound(
-                    new_assignment, child_similarity, level + 1, len(new_edges), result
+                    new_assignment, child_similarity, level + 1, new_edges.bit_count(), result
                 )
                 if not context.admit(bound, result):
                     continue
@@ -504,7 +508,7 @@ class _BeamState:
     assignment: Tuple[Tuple[int, MappingElement], ...]
     assigned_similarity: float
     used_globals: FrozenSet[int]
-    path_edges: FrozenSet[int]
+    path_edges: int
     bound: float
 
     def selection_key(self) -> Tuple[float, Tuple[int, ...]]:
@@ -539,7 +543,7 @@ class BeamPolicy(SearchPolicy):
                 assignment=(),
                 assigned_similarity=0.0,
                 used_globals=frozenset(),
-                path_edges=frozenset(),
+                path_edges=0,
                 bound=1.0,
             )
         ]
@@ -557,13 +561,14 @@ class BeamPolicy(SearchPolicy):
                 for element in context.groups[node_id]:
                     if problem.require_injective and element.ref.global_id in state.used_globals:
                         continue
-                    added = incremental_path_edges(problem, assignment, node_id, element)
-                    new_edges = state.path_edges | frozenset(added)
+                    new_edges = state.path_edges | incremental_path_edges(
+                        problem, assignment, node_id, element
+                    )
                     child_similarity = state.assigned_similarity + element.similarity
                     new_assignment = assignment | {node_id: element}
                     result.counters.increment("partial_mappings")
                     bound = context.bound(
-                        new_assignment, child_similarity, level + 1, len(new_edges), result
+                        new_assignment, child_similarity, level + 1, new_edges.bit_count(), result
                     )
                     if not context.admit(bound, result):
                         continue

@@ -13,7 +13,7 @@ by its candidate sets and oracle).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import MappingError
 from repro.labeling.distance import RepositoryDistanceOracle
@@ -160,9 +160,14 @@ class MappingProblem:
                 edges.append((parent, node_id))
         return edges
 
-    def path_edges(self, first: RepositoryNodeRef, second: RepositoryNodeRef) -> Set[int]:
-        """Edges (child node ids) of the repository path between two mapped nodes."""
-        edges = self.oracle.path_edge_ids(first, second)
+    def path_edges(self, first: RepositoryNodeRef, second: RepositoryNodeRef) -> int:
+        """Edges of the repository path between two mapped nodes, as a bitmask.
+
+        Bit ``c`` is set for the edge into child node ``c`` (see
+        :class:`~repro.labeling.distance.TreeDistanceOracle`), so unions of
+        paths are ``|`` and ``|Et|`` is a popcount.
+        """
+        edges = self.oracle.path_mask(first, second)
         if edges is None:
             raise MappingError(
                 f"nodes {first.global_id} and {second.global_id} are in different trees; "
@@ -176,11 +181,11 @@ class MappingProblem:
         Only personal edges with both endpoints assigned contribute; the union
         over their repository paths is the mapping subtree built so far.
         """
-        union: Set[int] = set()
+        union = 0
         for parent_id, child_id in self.personal_edges():
             if parent_id in assignment and child_id in assignment:
                 union |= self.path_edges(assignment[parent_id].ref, assignment[child_id].ref)
-        return len(union)
+        return union.bit_count()
 
     def best_similarity_per_node(self) -> Dict[int, float]:
         """The maximum candidate similarity available for each personal node."""

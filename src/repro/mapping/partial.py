@@ -77,9 +77,10 @@ class PartialMappingGenerator:
         reported (default: at least half, rounded up, so single-element
         "mappings" do not flood the result list).
     delta:
-        Optional score threshold; defaults to the problem's ``delta`` scaled by
-        the achievable coverage, because a partial mapping over k of n nodes can
-        score at most ``α·k/n + (1-α)`` even with perfect matches.
+        Optional score threshold; ``None`` (the default) reports every partial
+        mapping that reaches the coverage floor (threshold 0.0).  The problem's
+        own ``delta`` is deliberately not reused: a partial mapping over k of n
+        nodes scores at most ``α·k/n + (1-α)`` even with perfect matches.
     """
 
     name = "partial-branch-and-bound"
@@ -133,14 +134,14 @@ class PartialMappingGenerator:
         problem: MappingProblem,
         objective: BellflowerObjective,
         assignment: Dict[int, MappingElement],
-        path_edges: Set[int],
+        path_edges: int,
     ) -> float:
         """Objective value with uncovered nodes contributing zero similarity.
 
         Only personal edges with both endpoints covered contribute paths, which
-        is exactly what ``path_edges`` accumulates; Δpath compares that union
-        against the covered edge count so partially covered structure is not
-        penalized for edges it never attempted to map.
+        is exactly what the ``path_edges`` mask accumulates; Δpath compares
+        that union against the covered edge count so partially covered
+        structure is not penalized for edges it never attempted to map.
         """
         personal = problem.personal_schema
         sim_total = sum(element.similarity for element in assignment.values())
@@ -151,7 +152,7 @@ class PartialMappingGenerator:
         if covered_edges == 0:
             path = 1.0
         else:
-            stretched = (len(path_edges) - covered_edges) / (covered_edges * objective.path_normalization)
+            stretched = (path_edges.bit_count() - covered_edges) / (covered_edges * objective.path_normalization)
             path = min(1.0, max(0.0, 1.0 - stretched))
         return objective.alpha * sim + (1.0 - objective.alpha) * path
 
@@ -169,9 +170,8 @@ class PartialMappingGenerator:
         personal_node_count = problem.personal_schema.node_count
         assignment: Dict[int, MappingElement] = {}
         used_globals: Set[int] = set()
-        path_edges: Set[int] = set()
 
-        def emit() -> None:
+        def emit(path_edges: int) -> None:
             if len(assignment) < min_nodes:
                 return
             score = self._score(problem, objective, assignment, path_edges)
@@ -183,38 +183,35 @@ class PartialMappingGenerator:
                     assignment=dict(assignment),
                     score=score,
                     coverage=len(assignment) / personal_node_count,
-                    target_edge_count=len(path_edges),
+                    target_edge_count=path_edges.bit_count(),
                     tree_id=next(iter(assignment.values())).ref.tree_id,
                     cluster_id=problem.cluster_id,
                 )
             )
 
-        def recurse(level: int) -> None:
+        def recurse(level: int, path_edges: int) -> None:
             if level == len(order):
-                emit()
+                emit(path_edges)
                 return
             node_id = order[level]
             # Option 1: leave this personal node uncovered (only if enough
             # remaining nodes can still reach the coverage floor).
             remaining_after = len(order) - level - 1
             if len(assignment) + remaining_after >= min_nodes:
-                recurse(level + 1)
+                recurse(level + 1, path_edges)
             # Option 2: assign one of its candidates.
             for element in groups[node_id]:
                 if problem.require_injective and element.ref.global_id in used_globals:
                     continue
-                added = incremental_path_edges(problem, assignment, node_id, element)
-                new_edges = added - path_edges
+                child_edges = path_edges | incremental_path_edges(problem, assignment, node_id, element)
                 assignment[node_id] = element
                 used_globals.add(element.ref.global_id)
-                path_edges.update(new_edges)
                 result.counters.increment("partial_mappings")
-                recurse(level + 1)
+                recurse(level + 1, child_edges)
                 del assignment[node_id]
                 used_globals.discard(element.ref.global_id)
-                path_edges.difference_update(new_edges)
 
-        recurse(0)
+        recurse(0, 0)
 
 
 def partial_mappings_for_cluster(

@@ -9,6 +9,7 @@ ranked lists and top-N views the personal-schema-querying user sees.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.mapping.model import SchemaMapping
@@ -73,11 +74,16 @@ def above_threshold(mappings: Sequence[SchemaMapping], delta: float) -> List[Sch
 
 
 def score_histogram(mappings: Sequence[SchemaMapping], bin_width: float = 0.05) -> Dict[float, int]:
-    """Counts of mappings per score bin — used by the preservation-curve reports."""
+    """Counts of mappings per score bin — used by the preservation-curve reports.
+
+    A score on a bin edge belongs to the bin that starts there.  The quotient
+    is rounded before flooring because binary floats land edges just below
+    the integer (``0.15 / 0.05 == 2.9999999999999996``).
+    """
     if bin_width <= 0:
         raise ValueError(f"bin_width must be positive, got {bin_width}")
     histogram: Dict[float, int] = {}
     for mapping in mappings:
-        bucket = round(int(mapping.score / bin_width) * bin_width, 10)
+        bucket = round(math.floor(round(mapping.score / bin_width, 9)) * bin_width, 10)
         histogram[bucket] = histogram.get(bucket, 0) + 1
     return dict(sorted(histogram.items()))

@@ -47,14 +47,15 @@ def incremental_path_edges(
     assignment: Mapping[int, MappingElement],
     new_node_id: int,
     new_element: MappingElement,
-) -> set:
+) -> int:
     """Repository edges added to ``|Et|`` by assigning ``new_element`` to ``new_node_id``.
 
     Considers every personal edge between the new node and an already-assigned
-    neighbour; the union of the corresponding repository paths is returned so
-    the caller can grow its running edge set incrementally.
+    neighbour; the union of the corresponding repository paths is returned as
+    a bitmask (see :meth:`MappingProblem.path_edges`) so the caller can grow
+    its running edge mask with ``|``.
     """
-    added: set = set()
+    added = 0
     tree = problem.personal_schema
     neighbours = []
     parent = tree.parent_id(new_node_id)

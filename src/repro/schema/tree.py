@@ -4,9 +4,12 @@ The paper restricts its experiments to XML schemas representable as trees, with
 the repository being a forest of such trees.  ``SchemaTree`` is the workhorse
 data structure: it stores parent/children relations explicitly, offers the
 traversals the matchers and the clusterer need, and identifies every edge by
-its *child* node id (each non-root node has exactly one incoming edge), which
-makes unions of paths — needed to compute ``|Et|`` of a mapping subtree — cheap
-set operations.
+its *child* node id (each non-root node has exactly one incoming edge).  That
+naming is what lets :mod:`repro.labeling.distance` hold a path as a bitmask
+over child ids, so unions of paths — needed to compute ``|Et|`` of a mapping
+subtree — are integer ``|``.  The naive path methods here (``distance``,
+``path_edge_ids``, ``lowest_common_ancestor``) are the references the mask
+oracle is tested against.
 """
 
 from __future__ import annotations
@@ -225,8 +228,8 @@ class SchemaTree:
     def lowest_common_ancestor(self, first_id: int, second_id: int) -> int:
         """Naive LCA by root-path comparison.
 
-        The :mod:`repro.labeling` package provides an O(1) oracle for hot paths;
-        this method is the reference implementation used for validation and for
+        The :mod:`repro.labeling` package answers path queries in O(1) for hot
+        paths; this method is a reference implementation for validation and
         one-off queries.
         """
         first_path = [first_id, *self.ancestors(first_id)]

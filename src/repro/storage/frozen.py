@@ -104,9 +104,11 @@ class LazyStringTable:
 class _LazyTreeList:
     """List-contract view over the frozen forest, materializing per tree.
 
-    The lock makes materialization single-shot per tree id: a tree's cached
-    distance oracle holds the tree object, so two racing first touches must
-    not hand out two distinct objects.
+    The lock makes materialization single-shot per tree id, so two racing
+    first touches never hand out two distinct objects.  The tree object a
+    caller gets must be the one the repository keeps: a thaw turns the cached
+    objects into the plain forest, and ``remove_tree`` then renumbers their
+    ``tree_id`` in place, which a discarded duplicate would miss.
     """
 
     __slots__ = ("_repository", "_trees", "_lock")
@@ -303,10 +305,11 @@ class FrozenRepository(SchemaRepository):
     def _thaw(self) -> None:
         """Materialize every tree and become a plain ``SchemaRepository``.
 
-        Already-materialized trees are reused (identity matters: cached
-        oracles hold references into the lazy list), the mapped offset array
-        is copied into a plain list, and every view attribute is dropped so
-        the thawed object pickles by copy like any other repository.
+        Already-materialized trees are reused (identity matters: callers may
+        hold trees handed out earlier, and ``remove_tree`` renumbers them in
+        place), the mapped offset array is copied into a plain list, and every
+        view attribute is dropped so the thawed object pickles by copy like
+        any other repository.
         """
         self._trees = [self._trees[tree_id] for tree_id in range(len(self._trees))]
         self._offsets = [int(offset) for offset in self._offsets]

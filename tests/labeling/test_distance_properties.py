@@ -1,4 +1,4 @@
-"""Property-based tests: the O(1) oracle agrees with the naive tree algorithms."""
+"""Property-based tests: the ancestor-mask oracle agrees with the naive tree algorithms."""
 
 from __future__ import annotations
 
@@ -33,24 +33,44 @@ def test_oracle_distance_equals_naive_distance(tree, data):
 
 @given(random_trees(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_oracle_lca_equals_naive_lca(tree, data):
+def test_path_mask_bits_equal_naive_path_edges(tree, data):
     oracle = TreeDistanceOracle(tree)
     node_ids = list(tree.node_ids())
     u = data.draw(st.sampled_from(node_ids))
     v = data.draw(st.sampled_from(node_ids))
-    assert oracle.lca(u, v) == tree.lowest_common_ancestor(u, v)
+    mask = oracle.path_mask(u, v)
+    bits = {bit for bit in range(mask.bit_length()) if mask >> bit & 1}
+    assert bits == tree.path_edge_ids(u, v)
+    assert mask.bit_count() == oracle.distance(u, v)
 
 
 @given(random_trees(), st.data())
 @settings(max_examples=60, deadline=None)
-def test_path_edges_size_equals_distance(tree, data):
+def test_union_of_path_masks_counts_the_union_of_edge_sets(tree, data):
     oracle = TreeDistanceOracle(tree)
+    node_ids = list(tree.node_ids())
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(node_ids), st.sampled_from(node_ids)), max_size=5))
+    union_mask = 0
+    union_edges: set = set()
+    for u, v in pairs:
+        union_mask |= oracle.path_mask(u, v)
+        union_edges |= tree.path_edge_ids(u, v)
+    assert union_mask.bit_count() == len(union_edges)
+
+
+@given(random_trees(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_root_path_masks_agree_with_interval_ancestry(tree, data):
+    # A node's root-path mask is the path mask to the root; ancestor-or-self
+    # means the ancestor's root path is a sub-mask of the descendant's.
+    oracle = TreeDistanceOracle(tree)
+    labels = IntervalLabeling(tree)
     node_ids = list(tree.node_ids())
     u = data.draw(st.sampled_from(node_ids))
     v = data.draw(st.sampled_from(node_ids))
-    edges = oracle.path_edge_ids(u, v)
-    assert len(edges) == oracle.distance(u, v)
-    assert edges == tree.path_edge_ids(u, v)
+    root = tree.root_id
+    u_mask, v_mask = oracle.path_mask(root, u), oracle.path_mask(root, v)
+    assert (u_mask & ~v_mask == 0) == labels.is_ancestor_or_self(u, v)
 
 
 @given(random_trees(), st.data())

@@ -97,6 +97,11 @@ class TestRanking:
         with pytest.raises(ValueError):
             score_histogram(mappings, bin_width=0.0)
 
+    @pytest.mark.parametrize("score, bin_width", [(0.15, 0.05), (0.3, 0.1), (0.6, 0.05)])
+    def test_score_on_a_bin_edge_lands_in_its_own_bin(self, score, bin_width):
+        histogram = score_histogram([make_mapping(score, (1, 2))], bin_width=bin_width)
+        assert histogram == {score: 1}
+
 
 class TestSearchSpace:
     def test_product_of_candidate_counts(self):

@@ -307,7 +307,7 @@ class TestFrozenPayloads:
             first = repository.ref(tree_id, 0)
             last = repository.ref(tree_id, tree.node_count - 1)
             assert reopened.distance(first, last) == plain.oracle.distance(first, last)
-            assert reopened.path_edge_ids(first, last) == plain.oracle.path_edge_ids(first, last)
+            assert reopened.path_mask(first, last) == plain.oracle.path_mask(first, last)
         assert reopened.built_oracle_count == repository.tree_count
 
     def test_unpickled_services_share_one_oracle_per_tree(self, frozen_pair):

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.clustering.reclustering import join_and_remove
 from repro.errors import ClusteringError, ReproError
-from repro.labeling.distance import TreeDistanceOracle
 from repro.matchers.name import FuzzyNameMatcher, NGramNameMatcher, TokenNameMatcher
 from repro.service import (
     MatchingService,
@@ -46,16 +45,42 @@ def make_repository(seed: int, nodes: int = 450):
 
 
 def legacy_oracles(repository):
-    """The ``oracles`` key older builds wrote: packed per-tree Euler tours
-    and sparse-table rows (levels from 1 up, flattened)."""
+    """The ``oracles`` key older builds wrote, rebuilt here from the trees.
+
+    Per tree: the Euler tour (nodes and depths), each node's first tour index
+    and the sparse-table argmin rows over the tour depths (levels from 1 up,
+    ties to the left, flattened), every array packed with ``_pack_ints``.
+    """
     entries = {}
     for tree in repository.trees():
-        oracle = TreeDistanceOracle(tree)
+        nodes, depths, first = [], [], [-1] * tree.node_count
+
+        def tour(node_id):
+            first[node_id] = len(nodes)
+            nodes.append(node_id)
+            depths.append(tree.depth(node_id))
+            for child_id in tree.children_ids(node_id):
+                tour(child_id)
+                nodes.append(node_id)
+                depths.append(tree.depth(node_id))
+
+        tour(tree.root_id)
+        rows, previous, level = [], list(range(len(depths))), 1
+        while 1 << level <= len(depths):
+            half = 1 << (level - 1)
+            previous = [
+                left if depths[left] <= depths[right] else right
+                for left, right in (
+                    (previous[i], previous[i + half]) for i in range(len(depths) - (1 << level) + 1)
+                )
+            ]
+            rows.extend(previous)
+            level += 1
         entries[str(tree.tree_id)] = {
-            "euler_nodes": _pack_ints(oracle._euler_nodes),
-            "euler_depths": _pack_ints(oracle._euler_depths),
-            "first_occurrence": _pack_ints(oracle._first_occurrence),
-            "rmq": _pack_ints([index for level in oracle._rmq._table[1:] for index in level]),
+            "euler_nodes": _pack_ints(nodes),
+            "euler_depths": _pack_ints(depths),
+            "first_occurrence": _pack_ints(first),
+            "rmq": _pack_ints(rows),
         }
     return entries
 
