@@ -2,21 +2,25 @@
 
 These cover the components whose cost the paper discusses qualitatively: the
 fuzzy string matcher (CompareStringFuzzy stand-in), the node-labeling distance
-oracle ("low-cost computation of path lengths"), the element-matching scan, and
-the analytical search-space model of Section 2.3.
+oracle ("low-cost computation of path lengths"), the element-matching scan,
+the restriction of the candidates to every cluster of one query, and the
+analytical search-space model of Section 2.3.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.clustering.cluster import restrict_to_clusters
 from repro.labeling.distance import TreeDistanceOracle
 from repro.matchers.name import FuzzyNameMatcher
 from repro.matchers.selection import MappingElementSelector
 from repro.matchers.string_metrics import damerau_levenshtein_distance, fuzzy_similarity
 from repro.mapping.search_space import search_space_size, theoretical_reduction_factor
 from repro.schema.node import SchemaNode
-from repro.workload.personal import paper_personal_schema
+from repro.service import MatchingService
+from repro.workload.generator import RepositoryGenerator, RepositoryProfile
+from repro.workload.personal import paper_personal_schema, purchase_personal_schema
 
 NAME_PAIRS = [
     ("authorName", "author_name"),
@@ -104,6 +108,48 @@ def test_naive_path_edges_for_comparison(benchmark, bench_workload):
         return len(union)
 
     assert benchmark(run_queries) <= largest.edge_count
+
+
+@pytest.fixture(scope="module")
+def partition_clusters():
+    """One query's candidates and clusters at the served scale.
+
+    The paper-profile repository (~9,750 nodes) under a default service's
+    partition clusterer, queried with the purchase schema: about 530
+    clusters over about 700 candidates, the per-request shape of the
+    served workloads, where only a few clusters (here none) are useful.
+    """
+    system = MatchingService(RepositoryGenerator(RepositoryProfile()).generate()).system
+    candidates = system.element_matching(purchase_personal_schema())
+    return candidates, system.cluster_candidates(candidates).clusters.clusters()
+
+
+def test_one_pass_cluster_restriction(benchmark, partition_clusters):
+    """Every cluster's candidate sets from one pass, non-useful clusters dropped."""
+    candidates, clusters = partition_clusters
+    restricted = benchmark(restrict_to_clusters, clusters, candidates, True)
+    benchmark.extra_info["clusters"] = len(clusters)
+    benchmark.extra_info["useful_clusters"] = sum(sets is not None for sets in restricted)
+
+
+def test_per_cluster_restriction_for_comparison(benchmark, partition_clusters):
+    """The same sets from one filter pass per cluster (what the one pass replaces)."""
+    candidates, clusters = partition_clusters
+
+    def restrict_each():
+        restricted = []
+        for cluster in clusters:
+            members = cluster.member_global_ids()
+            lists = [
+                [element for element in elements if element.ref.global_id in members]
+                for _, elements in candidates
+            ]
+            restricted.append(lists if all(lists) else None)
+        return restricted
+
+    naive = benchmark(restrict_each)
+    one_pass = restrict_to_clusters(clusters, candidates, useful_only=True)
+    assert [lists is None for lists in naive] == [sets is None for sets in one_pass]
 
 
 def test_element_matching_stage(benchmark, bench_workload, bench_config):

@@ -70,15 +70,18 @@ class Cluster:
 
     def mapping_elements(self, candidates: MappingElementSets) -> List[MappingElement]:
         """All mapping elements (personal node, repository node) falling in this cluster."""
-        member_ids = self.member_global_ids()
-        return [element for element in candidates.iter_all_elements() if element.ref.global_id in member_ids]
+        return self.restricted_candidates(candidates).all_elements()
 
     def mapping_element_count(self, candidates: MappingElementSets) -> int:
         """Number of mapping elements in the cluster (Fig. 4's cluster size)."""
-        return len(self.mapping_elements(candidates))
+        return self.restricted_candidates(candidates).total()
 
     def restricted_candidates(self, candidates: MappingElementSets) -> MappingElementSets:
-        """The candidate sets restricted to this cluster's members."""
+        """The candidate sets restricted to this cluster's members.
+
+        For many clusters of one query use :func:`restrict_to_clusters`, which
+        makes one pass over the candidates instead of one per cluster.
+        """
         return candidates.restrict_to_refs(self.member_global_ids())
 
     def is_useful(self, candidates: MappingElementSets) -> bool:
@@ -92,6 +95,21 @@ class Cluster:
         return f"Cluster(id={self.cluster_id}, tree={self.tree_id}, size={self.size})"
 
 
+def restrict_to_clusters(
+    clusters: Sequence[Cluster], candidates: MappingElementSets, useful_only: bool = False
+) -> List[Optional[MappingElementSets]]:
+    """Each cluster's restricted candidate sets, from one pass over ``candidates``.
+
+    Entry ``i`` equals ``clusters[i].restricted_candidates(candidates)``; with
+    ``useful_only`` it is ``None`` for a cluster that is not useful, and no
+    copy is built for it (see :meth:`MappingElementSets.restrict_to_groups`).
+    """
+    return candidates.restrict_to_groups(
+        [[member.global_id for member in cluster.members] for cluster in clusters],
+        complete_only=useful_only,
+    )
+
+
 def clusters_from_groups(grouped: Dict[tuple, Set[RepositoryNodeRef]]) -> ClusterSet:
     """Assemble grouped members into a canonical :class:`ClusterSet`.
 
@@ -100,18 +118,20 @@ def clusters_from_groups(grouped: Dict[tuple, Set[RepositoryNodeRef]]) -> Cluste
     id — and each cluster's centroid is its smallest member by global id.
     Keeping this in one place is what lets the tests pin different clusterers'
     outputs as identical.
+
+    Every caller groups members by their own tree id, so the clusters are
+    assembled without :class:`Cluster`'s per-member tree check.
     """
     clusters = ClusterSet()
     for new_id, key in enumerate(sorted(grouped)):
         members = grouped[key]
-        clusters.add(
-            Cluster(
-                cluster_id=new_id,
-                tree_id=key[0],
-                members=set(members),
-                centroid=min(members, key=lambda ref: ref.global_id),
-            )
-        )
+        cluster = Cluster.__new__(Cluster)
+        cluster.cluster_id = new_id
+        cluster.tree_id = key[0]
+        cluster.members = set(members)
+        # Refs order by global id first, and global ids are unique.
+        cluster.centroid = min(members)
+        clusters.add(cluster)
     return clusters
 
 
@@ -144,14 +164,17 @@ class ClusterSet:
 
     def useful_clusters(self, candidates: MappingElementSets) -> List[Cluster]:
         """Clusters able to produce complete mappings for the given candidates."""
-        return [cluster for cluster in self._clusters if cluster.is_useful(candidates)]
+        restricted = restrict_to_clusters(self._clusters, candidates, useful_only=True)
+        return [
+            cluster for cluster, sets in zip(self._clusters, restricted) if sets is not None
+        ]
 
     def sizes(self) -> List[int]:
         return [cluster.size for cluster in self._clusters]
 
     def mapping_element_sizes(self, candidates: MappingElementSets) -> List[int]:
         """Cluster sizes measured in mapping elements (the unit of Fig. 4)."""
-        return [cluster.mapping_element_count(candidates) for cluster in self._clusters]
+        return [sets.total() for sets in restrict_to_clusters(self._clusters, candidates)]  # type: ignore[union-attr]
 
     def total_members(self) -> int:
         return sum(cluster.size for cluster in self._clusters)

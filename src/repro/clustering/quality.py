@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
-from repro.clustering.cluster import Cluster
+from repro.clustering.cluster import Cluster, restrict_to_clusters
 from repro.matchers.selection import MappingElementSets
 from repro.objective.bellflower import BellflowerObjective
 
@@ -28,7 +28,10 @@ def cluster_quality(
 
     Non-useful clusters (missing a candidate for some personal node) score 0.
     """
-    restricted = cluster.restricted_candidates(candidates)
+    return _quality(cluster.restricted_candidates(candidates), objective)
+
+
+def _quality(restricted: MappingElementSets, objective: Optional[BellflowerObjective]) -> float:
     if not restricted.is_complete():
         return 0.0
     best_per_node = []
@@ -45,7 +48,14 @@ def order_clusters_by_quality(
     candidates: MappingElementSets,
     objective: Optional[BellflowerObjective] = None,
 ) -> List[Tuple[Cluster, float]]:
-    """Clusters paired with their quality, best first (deterministic tie-break)."""
-    scored = [(cluster, cluster_quality(cluster, candidates, objective)) for cluster in clusters]
+    """Clusters paired with their quality, best first (deterministic tie-break).
+
+    The clusters' candidate sets come from one pass over ``candidates``.
+    """
+    restricted = restrict_to_clusters(clusters, candidates)
+    scored = [
+        (cluster, _quality(sets, objective))  # type: ignore[arg-type]
+        for cluster, sets in zip(clusters, restricted)
+    ]
     scored.sort(key=lambda pair: (-pair[1], pair[0].cluster_id))
     return scored

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from repro.clustering.cluster import restrict_to_clusters
 from repro.clustering.convergence import RelaxedConvergence
 from repro.clustering.distance import BlendedDistance, PathLengthDistance
 from repro.clustering.initialization import MEminInitializer, PerTreeInitializer, RandomInitializer
@@ -190,7 +191,15 @@ def run_cluster_ordering_ablation(
     objective = config.objective()
     generator = BranchAndBoundGenerator()
 
-    useful = clustering.clusters.useful_clusters(workload.candidates)
+    clusters = clustering.clusters.clusters()
+    restricted = {
+        cluster.cluster_id: sets
+        for cluster, sets in zip(
+            clusters, restrict_to_clusters(clusters, workload.candidates, useful_only=True)
+        )
+        if sets is not None
+    }
+    useful = [cluster for cluster in clusters if cluster.cluster_id in restricted]
     ordered = [cluster for cluster, _ in order_clusters_by_quality(useful, workload.candidates, objective)]
     arbitrary = sorted(useful, key=lambda cluster: cluster.cluster_id)
 
@@ -201,7 +210,7 @@ def run_cluster_ordering_ablation(
         for cluster in clusters:
             problem = MappingProblem(
                 personal_schema=workload.personal_schema,
-                candidates=cluster.restricted_candidates(workload.candidates),
+                candidates=restricted[cluster.cluster_id],
                 oracle=oracle,
                 objective=objective,
                 delta=config.delta,

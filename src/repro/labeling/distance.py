@@ -47,6 +47,17 @@ class TreeDistanceOracle:
             masks[node_id] = masks[parent_id(node_id)] | (1 << node_id)  # type: ignore[index]
         self._masks = masks
 
+    def mask(self, node_id: int) -> int:
+        """The node's ancestor mask ``A[x]``: its root path's edges as a bitmask.
+
+        ``path_mask(u, v) == mask(u) ^ mask(v)``; a search that meets the same
+        node in many paths looks its mask up once.
+        """
+        masks = self._masks
+        if 0 <= node_id < len(masks):
+            return masks[node_id]
+        raise UnknownNodeError(node_id, context=f"distance oracle of tree {self._tree_name!r}")
+
     def path_mask(self, first_id: int, second_id: int) -> int:
         """Edges of the path between two nodes as a bitmask over child node ids."""
         masks = self._masks

@@ -7,7 +7,9 @@ re-implemented three times, and a search over one cluster could never learn
 from mappings already found in another.  This module extracts the common
 machinery once:
 
-* :class:`TreeSearchContext` — one per (problem, repository tree): precomputes
+* :class:`TreeSearchContext` — one per (problem, repository tree): compiles
+  the search plan (per-level candidates with their ancestor masks, per-level
+  links to the earlier levels a node shares a personal edge with), precomputes
   the per-level remaining-best-similarity tables the admissible bound needs
   (the legacy generators rebuilt that dictionary on *every* expansion), keeps
   a running similarity sum so :meth:`ObjectiveFunction.fast_bound
@@ -24,10 +26,11 @@ machinery once:
   are now thin orderings over the shared expansion step.
 
 Every state carries the edges of its partial mapping subtree as one immutable
-int (:meth:`MappingProblem.path_edges <repro.mapping.model.MappingProblem.path_edges>`
-masks, see :mod:`repro.labeling.distance`): a child state ORs its new paths
-into the parent's mask and the bound reads ``|Et|`` as ``mask.bit_count()``,
-so backtracking undoes no edges and heap or beam entries copy no edge set.
+int (a path-edge mask, see :mod:`repro.labeling.distance`): a child state ORs
+``chosen ^ mask`` for each linked earlier level into the parent's mask, the
+bound reads ``|Et|`` as ``mask.bit_count()`` and a leaf is scored with that
+popcount, so backtracking undoes no edges, heap or beam entries copy no edge
+set, and no personal edge or repository path is re-derived per state.
 
 Exactness
 ---------
@@ -65,7 +68,7 @@ from repro.matchers.selection import MappingElement
 from repro.mapping.base import GenerationResult
 from repro.mapping.model import MappingProblem
 from repro.mapping.search_space import grouped_search_space
-from repro.mapping.support import candidates_by_tree, incremental_path_edges
+from repro.mapping.support import candidates_by_tree
 
 _NEGATIVE_INFINITY = float("-inf")
 
@@ -191,11 +194,21 @@ class TranslatingTopKPool:
 
 
 class TreeSearchContext:
-    """Shared expansion machinery for one (problem, repository tree) search.
+    """Shared expansion machinery and compiled search plan for one (problem, tree) search.
 
-    Precomputes, once per tree:
+    Compiles, once per tree:
 
-    * candidate groups per personal node (already similarity-ordered);
+    * ``levels[l]`` — the candidates of personal node ``order[l]``, already
+      similarity-ordered, as ``(element, global id, ancestor mask,
+      similarity)``.  The ancestor mask is the candidate's root-path edge set
+      (:meth:`TreeDistanceOracle.mask
+      <repro.labeling.distance.TreeDistanceOracle.mask>`), looked up once here
+      rather than once per path through the repository oracle;
+    * ``links[l]`` — the earlier levels whose personal nodes share a personal
+      edge with ``order[l]``.  Choosing a candidate with mask ``m`` at level
+      ``l`` adds the paths to those levels' chosen nodes, so the child's
+      path-edge mask is ``parent_mask | (chosen[n] ^ m)`` over ``n`` in
+      ``links[l]``, where ``chosen[n]`` is the mask chosen at level ``n``;
     * per-level remaining-similarity totals for the O(1)
       :meth:`~repro.objective.base.ObjectiveFunction.fast_bound` path.  The
       totals are summed left-to-right over the same node order the legacy
@@ -205,12 +218,19 @@ class TreeSearchContext:
       remaining-best-similarity maps — :meth:`remaining_map` of level ``l``
       is what the generic :meth:`~repro.objective.base.ObjectiveFunction.bound`
       expects for a partial assignment covering ``order[:l]``.
+
+    A leaf's ``|Et|`` is the popcount of the mask the search carries to it
+    (:meth:`accept`); :meth:`MappingProblem.evaluate
+    <repro.mapping.model.MappingProblem.evaluate>` stays the independent
+    recomputation the tests compare against.
     """
 
     __slots__ = (
         "problem",
+        "tree_id",
         "order",
-        "groups",
+        "levels",
+        "links",
         "pool",
         "delta",
         "deadline",
@@ -223,16 +243,35 @@ class TreeSearchContext:
     def __init__(
         self,
         problem: MappingProblem,
+        tree_id: int,
         order: List[int],
         groups: Dict[int, List[MappingElement]],
         pool: Optional[TopKPool] = None,
     ) -> None:
         self.problem = problem
+        self.tree_id = tree_id
         self.order = order
-        self.groups = groups
         self.delta = problem.delta
         self.pool = pool
         self.deadline = problem.deadline
+        oracle = problem.oracle.oracle(tree_id)
+        self.levels = [
+            [
+                (element, element.ref.global_id, oracle.mask(element.ref.node_id), element.similarity)
+                for element in groups[node_id]
+            ]
+            for node_id in order
+        ]
+        schema = problem.personal_schema
+        level_of = {node_id: level for level, node_id in enumerate(order)}
+        links: List[Tuple[int, ...]] = []
+        for level, node_id in enumerate(order):
+            neighbours = list(schema.children_ids(node_id))
+            parent = schema.parent_id(node_id)
+            if parent is not None:
+                neighbours.append(parent)
+            links.append(tuple(sorted(level_of[n] for n in neighbours if level_of[n] < level)))
+        self.links = links
         self.best_similarity = {
             node_id: max(element.similarity for element in elements)
             for node_id, elements in groups.items()
@@ -329,11 +368,21 @@ class TreeSearchContext:
 
     # -- completion -----------------------------------------------------------
 
-    def accept(self, assignment: Dict[int, MappingElement], result: GenerationResult) -> None:
-        """Evaluate a complete assignment; keep it when it clears ``δ``."""
-        mapping = self.problem.evaluate(assignment)
+    def accept(
+        self, assignment: Dict[int, MappingElement], path_edges: int, result: GenerationResult
+    ) -> None:
+        """Score a complete assignment; keep it when it clears ``δ``.
+
+        ``path_edges`` is the leaf's path-edge mask, so ``|Et|`` is its
+        popcount; only a mapping that clears ``δ`` is materialized.
+        """
+        problem = self.problem
+        evaluation = problem.objective.evaluate(
+            problem.personal_schema, assignment, path_edges.bit_count()
+        )
         result.counters.increment("evaluated_mappings")
-        if mapping.score >= self.delta:
+        if evaluation.score >= self.delta:
+            mapping = problem.mapping(assignment, evaluation, self.tree_id)
             result.mappings.append(mapping)
             if self.pool is not None:
                 self.pool.offer(mapping.score, mapping.signature())
@@ -366,7 +415,8 @@ class SearchPolicy:
 class DepthFirstPolicy(SearchPolicy):
     """Depth-first Branch-and-Bound: mutable assignment with undo, LIFO order.
 
-    The path-edge mask travels down the recursion as an argument, so only the
+    The path-edge mask travels down the recursion as an argument and each
+    level's chosen ancestor mask is overwritten in place, so only the
     assignment and the used-node set need undoing.
 
     With ``use_bounding=False`` the policy degenerates into the depth-first
@@ -380,45 +430,53 @@ class DepthFirstPolicy(SearchPolicy):
         self.use_bounding = use_bounding
 
     def search_tree(self, context: TreeSearchContext, result: GenerationResult) -> None:
-        problem = context.problem
+        injective = context.problem.require_injective
+        use_bounding = self.use_bounding
         order = context.order
-        groups = context.groups
+        levels = context.levels
+        links = context.links
+        depth = len(order)
+        deadline = context.deadline
+        increment = result.counters.increment
+        bound_of = context.bound
+        admit = context.admit
+        accept = context.accept
         assignment: Dict[int, MappingElement] = {}
         used_globals: set = set()
+        chosen = [0] * depth
 
         def recurse(level: int, assigned_similarity: float, path_edges: int) -> None:
-            if level == len(order):
-                context.accept(assignment, result)
-                return
             node_id = order[level]
-            for element in groups[node_id]:
+            neighbours = links[level]
+            child_level = level + 1
+            for element, global_id, mask, similarity in levels[level]:
                 # Cooperative deadline: stop expanding, keep what we have.
                 # Unwinding mid-loop is safe — every accepted mapping so far
                 # is fully evaluated, the result is just missing the rest.
-                if context.expired(result):
+                if deadline is not None and context.expired(result):
                     return
-                if problem.require_injective and element.ref.global_id in used_globals:
+                if injective and global_id in used_globals:
                     continue
-                child_edges = path_edges | incremental_path_edges(
-                    problem, assignment, node_id, element
-                )
-
+                child_edges = path_edges
+                for neighbour in neighbours:
+                    child_edges |= chosen[neighbour] ^ mask
+                chosen[level] = mask
                 assignment[node_id] = element
-                used_globals.add(element.ref.global_id)
-                child_similarity = assigned_similarity + element.similarity
-                result.counters.increment("partial_mappings")
+                used_globals.add(global_id)
+                child_similarity = assigned_similarity + similarity
+                increment("partial_mappings")
 
-                expand = True
-                if self.use_bounding:
-                    bound = context.bound(
-                        assignment, child_similarity, level + 1, child_edges.bit_count(), result
-                    )
-                    expand = context.admit(bound, result)
-                if expand:
-                    recurse(level + 1, child_similarity, child_edges)
+                if not use_bounding or admit(
+                    bound_of(assignment, child_similarity, child_level, child_edges.bit_count(), result),
+                    result,
+                ):
+                    if child_level == depth:
+                        accept(assignment, child_edges, result)
+                    else:
+                        recurse(child_level, child_similarity, child_edges)
 
                 del assignment[node_id]
-                used_globals.discard(element.ref.global_id)
+                used_globals.discard(global_id)
 
         recurse(0, 0.0, 0)
 
@@ -443,13 +501,17 @@ class BestFirstPolicy(SearchPolicy):
         return self.max_expansions is None
 
     def search_tree(self, context: TreeSearchContext, result: GenerationResult) -> None:
-        problem = context.problem
+        injective = context.problem.require_injective
         order = context.order
-        groups = context.groups
+        levels = context.levels
+        links = context.links
         tie_breaker = itertools.count()
-        # Heap entries: (-bound, tie, level, assignment, similarity sum, used ids, path edge mask)
-        heap: List[Tuple[float, int, int, Dict[int, MappingElement], float, FrozenSet[int], int]] = []
-        heapq.heappush(heap, (-1.0, next(tie_breaker), 0, {}, 0.0, frozenset(), 0))
+        # Heap entries: (-bound, tie, level, assignment, similarity sum, used
+        # ids, path edge mask, ancestor masks chosen per level).
+        heap: List[
+            Tuple[float, int, int, Dict[int, MappingElement], float, FrozenSet[int], int, Tuple[int, ...]]
+        ] = []
+        heapq.heappush(heap, (-1.0, next(tie_breaker), 0, {}, 0.0, frozenset(), 0, ()))
         expansions = 0
 
         while heap:
@@ -457,15 +519,22 @@ class BestFirstPolicy(SearchPolicy):
             # accepted so far stays — an anytime cut of the best-first order.
             if context.expired(result):
                 break
-            negative_bound, _, level, assignment, assigned_similarity, used_globals, path_edges = (
-                heapq.heappop(heap)
-            )
+            (
+                negative_bound,
+                _,
+                level,
+                assignment,
+                assigned_similarity,
+                used_globals,
+                path_edges,
+                chosen,
+            ) = heapq.heappop(heap)
             if -negative_bound < context.prune_floor():
                 # The heap is bound-ordered: everything left is bounded below
                 # the floor as well, so no remaining state can contribute.
                 break
             if level == len(order):
-                context.accept(assignment, result)
+                context.accept(assignment, path_edges, result)
                 continue
             if self.max_expansions is not None and expansions >= self.max_expansions:
                 result.counters.set("expansion_limit_reached", 1)
@@ -474,13 +543,16 @@ class BestFirstPolicy(SearchPolicy):
             result.counters.increment("expansions")
 
             node_id = order[level]
-            for element in groups[node_id]:
-                if problem.require_injective and element.ref.global_id in used_globals:
+            neighbours = links[level]
+            for element, global_id, mask, similarity in levels[level]:
+                if injective and global_id in used_globals:
                     continue
-                new_edges = path_edges | incremental_path_edges(problem, assignment, node_id, element)
+                new_edges = path_edges
+                for neighbour in neighbours:
+                    new_edges |= chosen[neighbour] ^ mask
                 new_assignment = dict(assignment)
                 new_assignment[node_id] = element
-                child_similarity = assigned_similarity + element.similarity
+                child_similarity = assigned_similarity + similarity
                 result.counters.increment("partial_mappings")
                 bound = context.bound(
                     new_assignment, child_similarity, level + 1, new_edges.bit_count(), result
@@ -495,8 +567,9 @@ class BestFirstPolicy(SearchPolicy):
                         level + 1,
                         new_assignment,
                         child_similarity,
-                        used_globals | {element.ref.global_id},
+                        used_globals | {global_id},
                         new_edges,
+                        (*chosen, mask),
                     ),
                 )
 
@@ -510,6 +583,8 @@ class _BeamState:
     used_globals: FrozenSet[int]
     path_edges: int
     bound: float
+    # Ancestor mask of the node chosen at each level (see TreeSearchContext).
+    chosen: Tuple[int, ...]
 
     def selection_key(self) -> Tuple[float, Tuple[int, ...]]:
         """Deterministic beam-selection key: bound, then mapped ids by personal node."""
@@ -537,7 +612,7 @@ class BeamPolicy(SearchPolicy):
         return False
 
     def search_tree(self, context: TreeSearchContext, result: GenerationResult) -> None:
-        problem = context.problem
+        injective = context.problem.require_injective
         beam: List[_BeamState] = [
             _BeamState(
                 assignment=(),
@@ -545,10 +620,12 @@ class BeamPolicy(SearchPolicy):
                 used_globals=frozenset(),
                 path_edges=0,
                 bound=1.0,
+                chosen=(),
             )
         ]
 
         for level, node_id in enumerate(context.order):
+            neighbours = context.links[level]
             next_states: List[_BeamState] = []
             for state in beam:
                 # Cooperative deadline: abandoning a level mid-way can only
@@ -558,13 +635,14 @@ class BeamPolicy(SearchPolicy):
                 if context.expired(result):
                     return
                 assignment = dict(state.assignment)
-                for element in context.groups[node_id]:
-                    if problem.require_injective and element.ref.global_id in state.used_globals:
+                chosen = state.chosen
+                for element, global_id, mask, similarity in context.levels[level]:
+                    if injective and global_id in state.used_globals:
                         continue
-                    new_edges = state.path_edges | incremental_path_edges(
-                        problem, assignment, node_id, element
-                    )
-                    child_similarity = state.assigned_similarity + element.similarity
+                    new_edges = state.path_edges
+                    for neighbour in neighbours:
+                        new_edges |= chosen[neighbour] ^ mask
+                    child_similarity = state.assigned_similarity + similarity
                     new_assignment = assignment | {node_id: element}
                     result.counters.increment("partial_mappings")
                     bound = context.bound(
@@ -576,9 +654,10 @@ class BeamPolicy(SearchPolicy):
                         _BeamState(
                             assignment=(*state.assignment, (node_id, element)),
                             assigned_similarity=child_similarity,
-                            used_globals=state.used_globals | {element.ref.global_id},
+                            used_globals=state.used_globals | {global_id},
                             path_edges=new_edges,
                             bound=bound,
+                            chosen=(*chosen, mask),
                         )
                     )
             next_states.sort(key=_BeamState.selection_key)
@@ -590,7 +669,7 @@ class BeamPolicy(SearchPolicy):
                 return
 
         for state in beam:
-            context.accept(dict(state.assignment), result)
+            context.accept(dict(state.assignment), state.path_edges, result)
 
 
 def run_search(problem: MappingProblem, policy: SearchPolicy) -> GenerationResult:
@@ -616,7 +695,7 @@ def run_search(problem: MappingProblem, policy: SearchPolicy) -> GenerationResul
         pool = problem.shared_pool or TopKPool(problem.top_k)
     order = problem.assignment_order()
     deadline = problem.deadline
-    for _tree_id, groups in sorted(candidates_by_tree(problem).items()):
+    for tree_id, groups in sorted(candidates_by_tree(problem).items()):
         if deadline is not None and deadline.expired():
             # Anytime cut between trees: keep what earlier trees produced.
             result.counters.set("deadline_expired", 1)
@@ -624,7 +703,7 @@ def run_search(problem: MappingProblem, policy: SearchPolicy) -> GenerationResul
         # The enumerable space of the trees actually searched — lets reports
         # relate partial_mappings to what a pruning-free search would face.
         result.counters.increment("tree_search_space", grouped_search_space(groups))
-        policy.search_tree(TreeSearchContext(problem, order, groups, pool), result)
+        policy.search_tree(TreeSearchContext(problem, tree_id, order, groups, pool), result)
     result.elapsed_seconds = time.perf_counter() - started
     result.sort()
     if problem.top_k is not None:

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 from repro.errors import MappingError
 from repro.labeling.distance import RepositoryDistanceOracle
 from repro.matchers.selection import MappingElement, MappingElementSets
-from repro.objective.base import ObjectiveFunction
+from repro.objective.base import MappingEvaluation, ObjectiveFunction
 from repro.schema.repository import RepositoryNodeRef
 from repro.schema.tree import SchemaTree
 
@@ -56,17 +56,28 @@ class SchemaMapping:
     tree_id: int
     cluster_id: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        # Every ranking sort, merge and incumbent offer keys on the signature,
+        # so it is derived once here rather than re-sorted per read.  It is
+        # not a dataclass field, so equality and repr are unchanged.
+        assignment = self.assignment
+        object.__setattr__(
+            self,
+            "_signature",
+            tuple([assignment[node_id].ref.global_id for node_id in sorted(assignment)]),
+        )
+
     def element_pairs(self) -> List[Tuple[int, RepositoryNodeRef]]:
         """(personal node id, repository ref) pairs, sorted by personal node id."""
         return [(node_id, element.ref) for node_id, element in sorted(self.assignment.items())]
 
     def repository_global_ids(self) -> Tuple[int, ...]:
         """Global ids of the mapped repository nodes, ordered by personal node id."""
-        return tuple(element.ref.global_id for _, element in sorted(self.assignment.items()))
+        return self._signature  # type: ignore[attr-defined]
 
     def signature(self) -> Tuple[int, ...]:
         """A canonical identity for deduplication across clusters."""
-        return self.repository_global_ids()
+        return self._signature  # type: ignore[attr-defined]
 
     def describe(self, personal_schema: SchemaTree, repository=None) -> str:
         """A human-readable one-line description used by the examples."""
@@ -195,7 +206,14 @@ class MappingProblem:
         return best
 
     def evaluate(self, assignment: Mapping[int, MappingElement]) -> SchemaMapping:
-        """Score a complete assignment and wrap it as a :class:`SchemaMapping`."""
+        """Score a complete assignment and wrap it as a :class:`SchemaMapping`.
+
+        The checked reference: it verifies that the assignment is complete and
+        lies in one tree, and recomputes ``|Et|`` from the personal edges.  The
+        search engine scores its leaves from the path mask it already carries
+        (:meth:`~repro.mapping.engine.TreeSearchContext.accept`); the tests pin
+        the two against each other.
+        """
         if len(assignment) != self.personal_schema.node_count:
             raise MappingError(
                 f"assignment covers {len(assignment)} of {self.personal_schema.node_count} personal nodes"
@@ -205,11 +223,20 @@ class MappingProblem:
             raise MappingError(f"assignment spans repository trees {sorted(tree_ids)}")
         edge_count = self.target_edge_count(assignment)
         evaluation = self.objective.evaluate(self.personal_schema, assignment, edge_count)
+        return self.mapping(assignment, evaluation, next(iter(tree_ids)))
+
+    def mapping(
+        self,
+        assignment: Mapping[int, MappingElement],
+        evaluation: MappingEvaluation,
+        tree_id: int,
+    ) -> SchemaMapping:
+        """Wrap an evaluated complete assignment of repository tree ``tree_id``."""
         return SchemaMapping(
             assignment=dict(assignment),
             score=evaluation.score,
             components=dict(evaluation.components),
             target_edge_count=evaluation.target_edge_count,
-            tree_id=next(iter(tree_ids)),
+            tree_id=tree_id,
             cluster_id=self.cluster_id,
         )

@@ -53,7 +53,9 @@ def incremental_path_edges(
     Considers every personal edge between the new node and an already-assigned
     neighbour; the union of the corresponding repository paths is returned as
     a bitmask (see :meth:`MappingProblem.path_edges`) so the caller can grow
-    its running edge mask with ``|``.
+    its running edge mask with ``|``.  The partial-mapping generator, whose
+    assignment order skips nodes, uses this; the search engine links levels
+    in its compiled plan instead (:class:`~repro.mapping.engine.TreeSearchContext`).
     """
     added = 0
     tree = problem.personal_schema

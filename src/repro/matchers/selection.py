@@ -11,7 +11,7 @@ similarity indexes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import MatcherError
 from repro.matchers.base import BatchElementMatcher, ElementMatcher, MatchContext
@@ -97,20 +97,65 @@ class MappingElementSets:
         """
         return min(self._sets, key=lambda node_id: (len(self._sets[node_id]), node_id))
 
-    def restrict_to_refs(self, global_ids: Set[int]) -> "MappingElementSets":
+    def restrict_to_refs(self, global_ids: Iterable[int]) -> "MappingElementSets":
         """A copy containing only mapping elements whose repository node is in ``global_ids``.
 
-        The mapping generator calls this once per cluster: the cluster's member
-        set restricts the candidate lists.  The copy is built by filtering the
-        already-validated, already-ordered internal lists directly — elements
-        this collection holds need no re-validation, and filtering preserves
-        their order.
+        The one-group case of :meth:`restrict_to_groups`, for callers holding a
+        single cluster or id set.
         """
-        restricted = MappingElementSets.__new__(MappingElementSets)
-        restricted._sets = {
-            node_id: [element for element in elements if element.ref.global_id in global_ids]
-            for node_id, elements in self._sets.items()
-        }
+        return self.restrict_to_groups([global_ids])[0]  # type: ignore[return-value]
+
+    def restrict_to_groups(
+        self, groups: Sequence[Iterable[int]], complete_only: bool = False
+    ) -> List[Optional["MappingElementSets"]]:
+        """One restricted copy per group of global ids, from one pass over the elements.
+
+        Entry ``i`` holds, per personal node, the elements whose repository
+        node is in ``groups[i]``, in this collection's order — exactly what
+        filtering every list against that group would keep.  Groups may
+        overlap (clusters do after reclustering moves) and may repeat an id;
+        an element lands once in every group that lists it.  The cost is one
+        owner lookup per element plus the groups' total size, where filtering
+        per group costs ``len(groups)`` passes over every element.
+
+        With ``complete_only`` a group that gets no element for some personal
+        node — a cluster that is not *useful* — yields ``None`` instead of a
+        copy.  Elements are already validated and ordered, so the copies are
+        built from the internal lists directly.
+        """
+        owners: Dict[int, List[int]] = {}
+        for position, group in enumerate(groups):
+            for global_id in group:
+                positions = owners.get(global_id)
+                if positions is None:
+                    owners[global_id] = [position]
+                elif positions[-1] != position:
+                    positions.append(position)
+        # buckets[n][position]: the elements of personal node n owned by the group.
+        buckets: List[Dict[int, List[MappingElement]]] = []
+        for elements in self._sets.values():
+            found: Dict[int, List[MappingElement]] = {}
+            for element in elements:
+                for position in owners.get(element.ref.global_id, ()):
+                    bucket = found.get(position)
+                    if bucket is None:
+                        found[position] = [element]
+                    else:
+                        bucket.append(element)
+            buckets.append(found)
+        node_ids = list(self._sets)
+        restricted: List[Optional[MappingElementSets]] = [None] * len(groups)
+        kept: Iterable[int]
+        if complete_only:
+            kept = set(buckets[0]).intersection(*buckets[1:])
+        else:
+            kept = range(len(groups))
+        for position in kept:
+            copy = MappingElementSets.__new__(MappingElementSets)
+            copy._sets = {
+                node_id: found.get(position, []) for node_id, found in zip(node_ids, buckets)
+            }
+            restricted[position] = copy
         return restricted
 
     def is_complete(self) -> bool:

@@ -62,7 +62,7 @@ class BellflowerObjective(ObjectiveFunction):
         node_count = personal_schema.node_count
         if node_count == 0:
             raise ObjectiveError("cannot evaluate a mapping for an empty personal schema")
-        total = sum(element.similarity for element in assignment.values())
+        total = sum([element.similarity for element in assignment.values()])
         return total / node_count
 
     def path_similarity(self, personal_schema: SchemaTree, target_edge_count: int) -> float:

@@ -129,16 +129,18 @@ class RepositoryPartition:
             }
         return fragments
 
-    def fragment_of(
+    def node_fragments(
         self,
         repository: SchemaRepository,
         tree_id: int,
-        node_id: int,
         oracle: Optional[RepositoryDistanceOracle] = None,
-    ) -> Optional[int]:
-        """Fragment index of a node, ``None`` when reclustering dropped it."""
+    ) -> Dict[int, int]:
+        """The tree's ``node id -> fragment index`` table (read-only), built on first use.
+
+        Nodes that reclustering dropped are absent.
+        """
         self.fragments_for(repository, tree_id, oracle)
-        return self._node_fragment[tree_id].get(node_id)
+        return self._node_fragment[tree_id]
 
     def build_all(
         self, repository: SchemaRepository, oracle: Optional[RepositoryDistanceOracle] = None
@@ -232,10 +234,13 @@ class PartitionClusterer(Clusterer):
     """Serve clusters from a precomputed :class:`RepositoryPartition`.
 
     Equivalent to :class:`~repro.clustering.baselines.FragmentClusterer` with
-    the same fragment size (and no reclustering), but O(1) per mapping element
-    at query time: the per-tree fragmentation runs once per repository
-    mutation instead of once per query, which is exactly the state a snapshot
-    persists.
+    the same fragment size (and no reclustering), but the per-tree
+    fragmentation runs once per repository mutation instead of once per
+    query, which is exactly the state a snapshot persists.  A query pays one
+    fragment-table fetch per repository tree its candidates touch, one dict
+    lookup and one set insert per mapping element, and then a sort of the
+    occupied fragments plus one copy and one minimum of each fragment's
+    members (:func:`~repro.clustering.cluster.clusters_from_groups`).
     """
 
     name = "partition"
@@ -253,20 +258,28 @@ class PartitionClusterer(Clusterer):
         counters = CounterSet()
         grouped: Dict[Tuple[int, int], set] = {}
         dropped = 0
-        seen_trees = set()
+        # tree id -> that tree's node -> fragment table, fetched once per tree.
+        tables: Dict[int, Dict[int, int]] = {}
         for element in candidates.iter_all_elements():
             ref = element.ref
-            seen_trees.add(ref.tree_id)
-            fragment = self.partition.fragment_of(repository, ref.tree_id, ref.node_id, oracle)
+            table = tables.get(ref.tree_id)
+            if table is None:
+                table = self.partition.node_fragments(repository, ref.tree_id, oracle)
+                tables[ref.tree_id] = table
+            fragment = table.get(ref.node_id)
             if fragment is None:
                 dropped += 1
                 continue
-            grouped.setdefault((ref.tree_id, fragment), set()).add(ref)
+            members = grouped.get((ref.tree_id, fragment))
+            if members is None:
+                grouped[(ref.tree_id, fragment)] = {ref}
+            else:
+                members.add(ref)
 
         clusters = clusters_from_groups(grouped)
         counters.set("iterations", 0)
         counters.set("clustered_items", sum(len(members) for members in grouped.values()))
-        counters.set("partition_trees_touched", len(seen_trees))
+        counters.set("partition_trees_touched", len(tables))
         counters.set("unclustered_items", dropped)
         return ClusteringResult(
             clusters=clusters, counters=counters, elapsed_seconds=time.perf_counter() - started

@@ -26,6 +26,7 @@ from repro.api.envelope import PROTOCOL_VERSION
 from repro.api.matcher import MatcherAPIMixin
 from repro.api.validation import validate_query, validate_top_k
 from repro.clustering.baselines import TreeClusterer
+from repro.clustering.cluster import restrict_to_clusters
 from repro.clustering.kmeans import Clusterer, ClusteringResult
 from repro.errors import ConfigurationError
 from repro.labeling.distance import RepositoryDistanceOracle
@@ -147,6 +148,13 @@ class Bellflower(MatcherAPIMixin):
     ) -> tuple[GenerationResult, List[ClusterReport]]:
         """Search every useful cluster and merge the per-cluster results.
 
+        One pass over ``candidates`` restricts them to every cluster at once
+        (:func:`~repro.clustering.cluster.restrict_to_clusters`); a cluster
+        missing a candidate for some personal node is dropped there, before
+        any problem or report is built for it, so the stage costs the
+        candidates plus the useful clusters' searches, not clusters ×
+        candidates.
+
         The per-cluster searches are independent (each gets its own restricted
         candidate sets and its own result object); when an ``executor`` is
         configured they are dispatched through it and gathered back *in
@@ -184,9 +192,11 @@ class Bellflower(MatcherAPIMixin):
         merged = GenerationResult()
         reports: List[ClusterReport] = []
         problems: List[MappingProblem] = []
-        for cluster in clustering.clusters:
-            restricted = cluster.restricted_candidates(candidates)
-            if not restricted.is_complete():
+        clusters = clustering.clusters.clusters()
+        for cluster, restricted in zip(
+            clusters, restrict_to_clusters(clusters, candidates, useful_only=True)
+        ):
+            if restricted is None:
                 continue
             problems.append(
                 MappingProblem(
